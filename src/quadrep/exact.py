@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 Monomial = tuple[int, ...]
 
 _FRACTION_ZERO = Fraction(0)
@@ -123,6 +125,9 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        # equal to 3 means hashing like 3, as Fraction does
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):
@@ -160,7 +165,6 @@ class GaussianRational:
         return cls._raw(Fraction(text), _FRACTION_ZERO)
 
 
-GR_ZERO = GaussianRational._raw(_FRACTION_ZERO, _FRACTION_ZERO)
 GR_ONE = GaussianRational._raw(_FRACTION_ONE, _FRACTION_ZERO)
 GR_I = GaussianRational._raw(_FRACTION_ZERO, _FRACTION_ONE)
 
@@ -177,7 +181,7 @@ class Polynomial:
     of the term dicts is equality of polynomials.
     """
 
-    __slots__ = ("nvars", "terms", "_sorted")
+    __slots__ = ("nvars", "terms", "_sorted", "_evaluator")
 
     def __init__(self, nvars: int, terms: dict[Monomial, GaussianRational] | None = None):
         if nvars < 0:
@@ -194,6 +198,7 @@ class Polynomial:
                 clean[tuple(mono)] = coeff
         self.terms = clean
         self._sorted = None
+        self._evaluator = None
 
     # ---------------------------------------------------------------- build
 
@@ -203,6 +208,7 @@ class Polynomial:
         out.nvars = nvars
         out.terms = terms
         out._sorted = None
+        out._evaluator = None
         return out
 
     @classmethod
@@ -364,24 +370,17 @@ class Polynomial:
         for a in args:
             if a.nvars != n2:
                 raise ValueError("composition arguments must share a variable count")
-        pow_cache: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(n2, 1), 1: a} for a in args
-        ]
-
-        def arg_power(i: int, e: int) -> Polynomial:
-            cache = pow_cache[i]
-            got = cache.get(e)
-            if got is None:
-                got = _mul_poly(arg_power(i, e - 1), cache[1])
-                cache[e] = got
-            return got
-
+        # powers[i][e] is args[i]**e, filled upwards by one multiplication each
+        powers = [[Polynomial.constant(n2, 1), a] for a in args]
         total = Polynomial.zero(n2)
         for mono, coeff in self.terms.items():
             piece = Polynomial.constant(n2, coeff)
             for i, e in enumerate(mono):
                 if e:
-                    piece = _mul_poly(piece, arg_power(i, e))
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(_mul_poly(row[-1], row[1]))
+                    piece = _mul_poly(piece, row[e])
             total = total + piece
         return total
 
@@ -408,90 +407,23 @@ class Polynomial:
 
     # ----------------------------------------------------------- evaluation
 
+    def evaluator(self) -> "Evaluator":
+        """The compiled form of this polynomial, built on first use."""
+        if self._evaluator is None:
+            self._evaluator = Evaluator([self])
+        return self._evaluator
+
     def eval_exact(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Exact value at a Gaussian-rational point."""
-        if len(point) != self.nvars:
-            raise ValueError("point length must match the variable count")
-        point = [GaussianRational.coerce(v) for v in point]
-        pow_cache: list[dict[int, GaussianRational]] = [{0: GR_ONE, 1: v} for v in point]
-
-        def value_power(i: int, e: int) -> GaussianRational:
-            cache = pow_cache[i]
-            got = cache.get(e)
-            if got is None:
-                got = value_power(i, e - 1) * cache[1]
-                cache[e] = got
-            return got
-
-        total = GR_ZERO
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for i, e in enumerate(mono):
-                if e:
-                    v = v * value_power(i, e)
-            total = total + v
-        return total
+        return self.evaluator().eval_exact(point)[0]
 
     def eval_complex(self, point: Sequence[complex]) -> complex:
-        """Floating value; exact coefficients convert at the last step.
+        """Floating value at one point."""
+        return complex(self.evaluator().eval_batch([point])[0, 0])
 
-        Terms are summed in canonical order so the result is deterministic.
-        """
-        if len(point) != self.nvars:
-            raise ValueError("point length must match the variable count")
-        point = [complex(v) for v in point]
-        pow_cache: list[dict[int, complex]] = [{0: 1.0 + 0j, 1: v} for v in point]
-
-        def value_power(i: int, e: int) -> complex:
-            cache = pow_cache[i]
-            got = cache.get(e)
-            if got is None:
-                got = value_power(i, e - 1) * cache[1]
-                cache[e] = got
-            return got
-
-        total = 0j
-        for mono, coeff in self.sorted_terms():
-            v = complex(coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    v *= value_power(i, e)
-            total += v
-        return total
-
-    def eval_batch(self, points) -> "object":
+    def eval_batch(self, points) -> np.ndarray:
         """Vectorized complex evaluation over an (N, nvars) array."""
-        import numpy as np
-
-        Z = np.asarray(points, dtype=complex)
-        if Z.ndim == 1:
-            Z = Z[None, :]
-        if Z.shape[1] != self.nvars:
-            raise ValueError("point array width must match the variable count")
-        n = Z.shape[0]
-        out = np.zeros(n, dtype=complex)
-        if not self.terms:
-            return out
-        pow_cache: list[dict[int, object]] = [{0: None} for _ in range(self.nvars)]
-
-        def col_power(i: int, e: int):
-            cache = pow_cache[i]
-            got = cache.get(e)
-            if got is None:
-                if e == 1:
-                    got = Z[:, i]
-                else:
-                    got = col_power(i, e - 1) * Z[:, i]
-                cache[e] = got
-            return got
-
-        for mono, coeff in self.sorted_terms():
-            acc = np.full(n, complex(coeff))
-            for i, e in enumerate(mono):
-                if e:
-                    acc = acc * col_power(i, e)
-            out += acc
-        return out
+        return self.evaluator().eval_batch(points)[:, 0]
 
     # ------------------------------------------------------------- printing
 
@@ -513,6 +445,194 @@ class Polynomial:
             else:
                 pieces.append(cs)
         return " + ".join(pieces)
+
+
+# ---------------------------------------------------------------- evaluation
+#
+# Every evaluation in the package goes through one compiled form: a list of
+# polynomials in one variable set becomes the union of their monomials (an
+# exponent matrix) and a coefficient table.  The batch backend gathers the
+# monomials of a block of terms from per-variable power tables and multiplies
+# them by the coefficient matrix.  The exact backend clears all denominators
+# first, so its inner loop is Python int arithmetic on Gaussian-integer
+# numerators and Fractions appear only in the final values.
+
+_TERM_BLOCK = 128  # monomials gathered per matrix product
+_ROW_BLOCK = 4096  # points per power table; with _TERM_BLOCK it bounds memory
+
+
+class Evaluator:
+    """Polynomials in one variable set, compiled once for evaluation.
+
+    ``eval_batch`` gives an (N, len(polys)) complex array, ``eval_exact``
+    the list of exact values.  Each backend builds its tables on first use,
+    so an evaluator used only exactly never converts a coefficient to float.
+    """
+
+    __slots__ = ("nvars", "polys", "_batch", "_exact")
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        if not polys:
+            raise ValueError("an evaluator needs at least one polynomial")
+        nvars = polys[0].nvars
+        if any(p.nvars != nvars for p in polys):
+            raise ValueError("compiled polynomials must share a variable count")
+        self.nvars = nvars
+        self.polys = list(polys)
+        self._batch = None
+        self._exact = None
+
+    # --------------------------------------------------------- batch backend
+
+    def _batch_tables(self):
+        # Scan threads may build the tables at the same time on first use;
+        # they build equal tables and either assignment is correct.
+        if self._batch is None:
+            monos = sorted(
+                {mono for p in self.polys for mono in p.terms}, key=_grlex_key, reverse=True
+            )
+            row_of = {mono: t for t, mono in enumerate(monos)}
+            coeffs = np.zeros((len(monos), len(self.polys)), dtype=complex)
+            for j, p in enumerate(self.polys):
+                for mono, c in p.terms.items():
+                    coeffs[row_of[mono], j] = complex(c)
+            exps = np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
+            width = int(exps.max(initial=0)) + 1
+            # row of z_i**e in the flattened power table
+            at = exps + width * np.arange(self.nvars)
+            blocks = []
+            for t0 in range(0, len(monos), _TERM_BLOCK):
+                sl = slice(t0, t0 + _TERM_BLOCK)
+                active = [at[sl, i] for i in range(self.nvars) if exps[sl, i].any()]
+                blocks.append((active, np.ascontiguousarray(coeffs[sl].T)))
+            self._batch = (width, blocks)
+        return self._batch
+
+    def eval_batch(self, points) -> np.ndarray:
+        """Values of every polynomial at each row of an (N, nvars) array."""
+        Z = np.asarray(points, dtype=complex)
+        if Z.ndim == 1:
+            Z = Z[None, :]
+        if Z.shape[1] != self.nvars:
+            raise ValueError("point array width must match the variable count")
+        width, blocks = self._batch_tables()
+        # points run along the last axis, so a gathered power is a contiguous row
+        out = np.zeros((len(self.polys), Z.shape[0]), dtype=complex)
+        for r0 in range(0, Z.shape[0], _ROW_BLOCK):
+            zt = Z[r0 : r0 + _ROW_BLOCK].T
+            n = zt.shape[1]
+            # powers[i, e] = z_i**e, each power one multiplication from the last
+            powers = np.ones((self.nvars, width, n), dtype=complex)
+            for e in range(1, width):
+                np.multiply(powers[:, e - 1], zt, out=powers[:, e])
+            table = powers.reshape(-1, n)
+            acc = out[:, r0 : r0 + n]
+            for active, coeffs in blocks:
+                if active:
+                    mons = table[active[0]]
+                    for idx in active[1:]:
+                        mons *= table[idx]
+                else:
+                    mons = np.ones((coeffs.shape[1], n), dtype=complex)
+                acc += coeffs @ mons
+        return out.T
+
+    # --------------------------------------------------------- exact backend
+
+    def _exact_tables(self):
+        if self._exact is None:
+            nvars = self.nvars
+            den = 1
+            dmax = 0
+            for p in self.polys:
+                for mono, c in p.terms.items():
+                    den = math.lcm(den, c.re.denominator, c.im.denominator)
+                    dmax = max(dmax, sum(mono))
+            # Each monomial value is built as a chain of products along its
+            # nonzero factors, shared between monomials with a common prefix.
+            # The last link multiplies by D**(dmax - degree), with variable
+            # index nvars standing for the point's common denominator D.
+            node_of: dict[tuple, int] = {}
+            steps: list[tuple[int, int, int]] = []
+            maxexp = [0] * nvars + [dmax]
+
+            def link(key: tuple, parent: int, var: int, e: int) -> int:
+                got = node_of.get(key)
+                if got is None:
+                    steps.append((parent, var, e))
+                    got = node_of[key] = len(steps)
+                return got
+
+            def node(mono: Monomial) -> int:
+                key: tuple = ()
+                at = 0
+                for i, e in enumerate(mono):
+                    if e:
+                        key += ((i, e),)
+                        at = link(key, at, i, e)
+                        if e > maxexp[i]:
+                            maxexp[i] = e
+                pad = dmax - sum(mono)
+                if pad:
+                    at = link(key + ((nvars, pad),), at, nvars, pad)
+                return at
+
+            rows = [
+                [
+                    (node(mono), c.re.numerator * (den // c.re.denominator),
+                     c.im.numerator * (den // c.im.denominator))
+                    for mono, c in p.terms.items()
+                ]
+                for p in self.polys
+            ]
+            self._exact = (steps, rows, maxexp, den, dmax)
+        return self._exact
+
+    def numerators(self, coords: Sequence[tuple[int, int]], denominator: int):
+        """Exact values at the point (a_i + b_i*i) / denominator, in ints.
+
+        ``coords`` holds the Gaussian-integer pairs (a_i, b_i).  Returns
+        (values, scale): polynomial j takes the value
+        (values[j][0] + values[j][1]*i) / scale.
+        """
+        steps, rows, maxexp, den, dmax = self._exact_tables()
+        powers = []
+        for (a, b), top in zip([*coords, (denominator, 0)], maxexp):
+            re, im = 1, 0
+            row = [(1, 0)]
+            for _ in range(top):
+                re, im = re * a - im * b, re * b + im * a
+                row.append((re, im))
+            powers.append(row)
+        vals = [(1, 0)]
+        for parent, var, e in steps:
+            pr, pi = vals[parent]
+            qr, qi = powers[var][e]
+            vals.append((pr * qr - pi * qi, pr * qi + pi * qr))
+        out = []
+        for terms in rows:
+            re = im = 0
+            for at, cr, ci in terms:
+                vr, vi = vals[at]
+                re += cr * vr - ci * vi
+                im += cr * vi + ci * vr
+            out.append((re, im))
+        return out, den * denominator**dmax
+
+    def eval_exact(self, point: Sequence) -> list[GaussianRational]:
+        """Exact values of every polynomial at a Gaussian-rational point."""
+        if len(point) != self.nvars:
+            raise ValueError("point length must match the variable count")
+        point = [GaussianRational.coerce(v) for v in point]
+        common = 1
+        for v in point:
+            common = math.lcm(common, v.re.denominator, v.im.denominator)
+        coords = [
+            (v.re.numerator * (common // v.re.denominator), v.im.numerator * (common // v.im.denominator))
+            for v in point
+        ]
+        nums, scale = self.numerators(coords, common)
+        return [GaussianRational._raw(Fraction(re, scale), Fraction(im, scale)) for re, im in nums]
 
 
 # ------------------------------------------------------------ multiplication

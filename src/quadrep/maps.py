@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import GR_I, GR_ONE, GaussianRational, Polynomial, mul_cost
+from .exact import GR_I, GR_ONE, Evaluator, GaussianRational, Polynomial, mul_cost
 
 # Product-count budget for a single full expansion, and point budget for the
 # grid zero test.  Both are deliberate ceilings: beyond them the factored
@@ -113,23 +113,17 @@ def _guarded_compose(outer: Polynomial, args: Sequence[Polynomial], budget: _Bud
     if len(args) != outer.nvars:
         raise ValueError("arity mismatch in composition")
     n2 = args[0].nvars
-    pow_cache: list[dict[int, Polynomial]] = [{0: Polynomial.constant(n2, 1), 1: a} for a in args]
-
-    def arg_power(i: int, e: int) -> Polynomial:
-        cache = pow_cache[i]
-        got = cache.get(e)
-        if got is None:
-            prev = arg_power(i, e - 1)
-            got = _guarded_mul(prev, cache[1], budget)
-            cache[e] = got
-        return got
-
+    # powers[i][e] is args[i]**e, filled upwards by one multiplication each
+    powers = [[Polynomial.constant(n2, 1), a] for a in args]
     total = Polynomial.zero(n2)
     for mono, coeff in outer.terms.items():
         piece = Polynomial.constant(n2, coeff)
         for i, e in enumerate(mono):
             if e:
-                piece = _guarded_mul(piece, arg_power(i, e), budget)
+                row = powers[i]
+                while len(row) <= e:
+                    row.append(_guarded_mul(row[-1], row[1], budget))
+                piece = _guarded_mul(piece, row[e], budget)
         total = total + piece
     return total
 
@@ -266,6 +260,7 @@ class PolyMap:
         # raw certificate summaries carried by an imported document, kept so
         # that export -> import -> export stays byte-identical
         self.document_certificates: Optional[list[dict]] = None
+        self._evaluator: Optional[Evaluator] = None
 
     def __repr__(self):
         state = "explicit" if self.components is not None else "structural"
@@ -286,6 +281,14 @@ class PolyMap:
 
     # ---------------------------------------------------------- evaluation
 
+    def evaluator(self) -> Evaluator:
+        """The explicit components compiled into one evaluator, built once."""
+        if self.components is None:
+            raise InfeasibleError("compiled evaluation needs materialized components")
+        if self._evaluator is None:
+            self._evaluator = Evaluator(self.components)
+        return self._evaluator
+
     def eval_batch(self, points) -> np.ndarray:
         Z = np.asarray(points, dtype=complex)
         single = Z.ndim == 1
@@ -296,7 +299,7 @@ class PolyMap:
         if self.node is not None:
             out = self.node.eval_batch(Z)
         else:
-            out = np.stack([c.eval_batch(Z) for c in self.components], axis=1)
+            out = self.evaluator().eval_batch(Z)
         return out[0] if single else out
 
     def eval_exact(self, point: Sequence) -> list[GaussianRational]:
@@ -305,7 +308,7 @@ class PolyMap:
             raise DimensionMismatch("point length must match the domain dimension")
         if self.node is not None:
             return self.node.eval_exact(pt)
-        return [c.eval_exact(pt) for c in self.components]
+        return self.evaluator().eval_exact(pt)
 
     # ------------------------------------------------------------- bounds
 
@@ -522,60 +525,6 @@ def _composition_cert(node: CompositionNode, k: int, budget: _Budget) -> Certifi
     )
 
 
-def _integer_grid_difference(pmap: PolyMap, k: int):
-    """Fast exact evaluator of q(F(p)) - q(p)^k at integer points.
-
-    Components are flattened once to integer coefficient pairs over a common
-    denominator D, so each grid point costs only native bigint work: the
-    difference is zero iff sum of the scaled component squares equals
-    q(p)^k * D^2.  Falls back to None when there are no explicit components.
-    """
-    if pmap.components is None:
-        return None
-    from .exact import _int_form
-
-    flat = []
-    for comp in pmap.components:
-        den, items, _ = _int_form(comp)
-        flat.append((den, items))
-    common = 1
-    for den, _ in flat:
-        common = common * den // math.gcd(common, den)
-    scaled = [
-        (common // den, items) for den, items in flat
-    ]
-    nvars = pmap.m
-    maxexp = [b + 1 for b in pmap.per_variable_bounds()]
-
-    def difference_is_zero(point: tuple[int, ...]) -> bool:
-        pows = []
-        for i in range(nvars):
-            col = [1] * (maxexp[i] + 1)
-            for e in range(1, maxexp[i] + 1):
-                col[e] = col[e - 1] * point[i]
-            pows.append(col)
-        total_re = 0
-        total_im = 0
-        for scale, items in scaled:
-            vre = 0
-            vim = 0
-            for mono, cre, cim in items:
-                m_val = 1
-                for i, e in enumerate(mono):
-                    if e:
-                        m_val *= pows[i][e]
-                vre += cre * m_val
-                vim += cim * m_val
-            vre *= scale
-            vim *= scale
-            total_re += vre * vre - vim * vim
-            total_im += 2 * vre * vim
-        qp = sum(c * c for c in point)
-        return total_im == 0 and total_re == qp**k * common * common
-
-    return difference_is_zero
-
-
 def _grid_cert(pmap: PolyMap, k: int, grid_budget: int) -> Certificate:
     bounds = pmap.per_variable_bounds()
     diff_bounds = [max(2 * b, 2 * k) for b in bounds]
@@ -587,17 +536,20 @@ def _grid_cert(pmap: PolyMap, k: int, grid_budget: int) -> Certificate:
             f"grid zero test needs {npoints} points for per-variable bounds {diff_bounds}; "
             f"budget is {grid_budget}"
         )
-    fast = _integer_grid_difference(pmap, k)
     detail = {"grid_points": npoints, "per_variable_bounds": diff_bounds}
+    evaluator = pmap.evaluator() if pmap.components is not None else None
     for combo in itertools.product(*(range(b + 1) for b in diff_bounds)):
-        if fast is not None:
-            if fast(combo):
+        if evaluator is not None:
+            # integer point: the components are numerators over one scale, so
+            # the difference vanishes iff sum(num^2) = q(p)^k * scale^2
+            nums, scale = evaluator.numerators([(c, 0) for c in combo], 1)
+            total_re = sum(re * re - im * im for re, im in nums)
+            total_im = sum(re * im for re, im in nums)
+            if total_im == 0 and total_re == sum(c * c for c in combo) ** k * scale * scale:
                 continue
-            diff = _difference_at(pmap, k, [GaussianRational(c) for c in combo])
-        else:
-            diff = _difference_at(pmap, k, [GaussianRational(c) for c in combo])
-            if diff.is_zero():
-                continue
+        diff = _difference_at(pmap, k, [GaussianRational(c) for c in combo])
+        if diff.is_zero():
+            continue
         coords = ", ".join(str(c) for c in combo)
         return Certificate(
             claimed_order=k,

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .exact import Evaluator
 from .maps import (
     DimensionMismatch,
     PolyMap,
@@ -326,32 +327,29 @@ def winding_degree(pmap, samples: int = 4096) -> DegreeResult:
     return DegreeResult(value, defect)
 
 
-def _eval_jacobian_batch(pmap: PolyMap, jac, P: np.ndarray) -> np.ndarray:
-    rows = []
-    for row in jac:
-        rows.append(np.stack([poly.eval_batch(P) for poly in row], axis=1))
-    return np.stack(rows, axis=1)  # [N, r, m]
+class _MapAndJacobian:
+    """An explicit map and all its first partials, compiled into one
+    evaluator so that one call returns both."""
 
+    def __init__(self, pmap: PolyMap):
+        jac = pmap.jacobian()
+        self.m, self.r = pmap.m, pmap.r
+        self.evaluator = Evaluator(pmap.components + [p for row in jac for p in row])
 
-def _h_and_directional(pmap, jac, P: np.ndarray, directions: list[np.ndarray]):
-    """Retraction composed with the map and its directional derivatives.
+    def h_and_jacobian(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Retraction composed with the map, and its Jacobian, at real points.
 
-    P holds real points; each direction is a real [N, m] array of tangent
-    vectors.  Returns h [N, 3] and one [N, 3] derivative per direction.
-    """
-    W = pmap.eval_batch(P.astype(complex))
-    J = _eval_jacobian_batch(pmap, jac, P.astype(complex))
-    x, y = W.real, W.imag
-    s = 1.0 / np.sqrt(np.sum(y * y, axis=1) + 1.0)
-    h = s[:, None] * x
-    outs = []
-    for d in directions:
-        dW = np.einsum("nri,ni->nr", J, d.astype(complex))
-        dx, dy = dW.real, dW.imag
-        ydy = np.sum(y * dy, axis=1)
-        dh = s[:, None] * dx - (s**3 * ydy)[:, None] * x
-        outs.append(dh)
-    return h, outs
+        Returns h [N, r] and dh [N, r, m] with dh[n, :, i] = dh/dp_i.
+        """
+        out = self.evaluator.eval_batch(P)
+        W = out[:, : self.r]
+        J = out[:, self.r :].reshape(-1, self.r, self.m)
+        x, y = W.real, W.imag
+        s = 1.0 / np.sqrt(np.sum(y * y, axis=1) + 1.0)
+        h = s[:, None] * x
+        ydy = np.einsum("nr,nri->ni", y, J.imag)
+        dh = s[:, None, None] * J.real - (s**3)[:, None, None] * x[:, :, None] * ydy[:, None, :]
+        return h, dh
 
 
 def sphere_degree(pmap: PolyMap, grid: tuple[int, int] = (400, 200)) -> DegreeResult:
@@ -365,7 +363,7 @@ def sphere_degree(pmap: PolyMap, grid: tuple[int, int] = (400, 200)) -> DegreeRe
     if pmap.m != 3 or pmap.r != 3:
         raise DimensionMismatch("sphere degree needs a self-map of the 2-sphere quadric (m = r = 3)")
     _require_sphere_map(pmap)
-    jac = pmap.jacobian()
+    fused = _MapAndJacobian(pmap)
     nphi, ntheta = grid
     theta = (np.arange(ntheta) + 0.5) * np.pi / ntheta
     phi = (np.arange(nphi) + 0.5) * 2 * np.pi / nphi
@@ -375,7 +373,9 @@ def sphere_degree(pmap: PolyMap, grid: tuple[int, int] = (400, 200)) -> DegreeRe
     P = np.stack([st * cf, st * sf, ct], axis=1)
     dP_t = np.stack([ct * cf, ct * sf, -st], axis=1)
     dP_f = np.stack([-st * sf, st * cf, np.zeros_like(T)], axis=1)
-    h, (h_t, h_f) = _h_and_directional(pmap, jac, P, [dP_t, dP_f])
+    h, dh = fused.h_and_jacobian(P)
+    h_t = np.einsum("nri,ni->nr", dh, dP_t)
+    h_f = np.einsum("nri,ni->nr", dh, dP_f)
     integrand = np.einsum("ni,ni->n", h, np.cross(h_t, h_f))
     cell = (np.pi / ntheta) * (2 * np.pi / nphi)
     total = float(integrand.sum()) * cell / (4 * np.pi)
@@ -414,22 +414,14 @@ def _orthonormal_complement(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _PreimageSystem:
     """Constraint system for h(p) = c on S^3 with h the retracted map."""
 
-    def __init__(self, pmap: PolyMap, jac, value: np.ndarray):
-        self.pmap = pmap
-        self.jac = jac
+    def __init__(self, fused: _MapAndJacobian, value: np.ndarray):
+        self.fused = fused
         self.value = value
         self.e1, self.e2 = _orthonormal_complement(value)
 
-    def h_of(self, p: np.ndarray) -> np.ndarray:
-        W = self.pmap.eval_batch(p[None, :].astype(complex))
-        x, y = W.real[0], W.imag[0]
-        return x / np.sqrt(np.sum(y * y) + 1.0)
-
     def h_jac(self, p: np.ndarray):
-        P = p[None, :]
-        basis = [np.eye(4)[i][None, :] for i in range(4)]
-        h, partials = _h_and_directional(self.pmap, self.jac, P, basis)
-        return h[0], np.stack([d[0] for d in partials], axis=1)  # [3], [3, 4]
+        h, dh = self.fused.h_and_jacobian(p[None, :])
+        return h[0], dh[0]  # [3], [3, 4]
 
     def residual_and_jac(self, p: np.ndarray):
         h, Jh = self.h_jac(p)
@@ -513,14 +505,13 @@ def _trace_curve(
 
 
 def _preimage_curves(
-    pmap: PolyMap,
-    jac,
+    fused: _MapAndJacobian,
     value: np.ndarray,
     seed: int,
     n_seeds: int = 64,
     step: float = 1e-2,
 ) -> list[TracedCurve]:
-    system = _PreimageSystem(pmap, jac, value)
+    system = _PreimageSystem(fused, value)
     seeds = sample_sphere(3, n_seeds, seed)
     curves: list[TracedCurve] = []
     rank_drops = 0
@@ -629,7 +620,7 @@ def hopf_invariant(
     """
     if pmap.m != 4 or pmap.r != 3:
         raise DimensionMismatch("hopf invariant needs a map C^4 -> C^3")
-    jac = pmap.jacobian()
+    fused = _MapAndJacobian(pmap)
     if values is None:
         v1, v2 = np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])
     else:
@@ -638,8 +629,8 @@ def hopf_invariant(
 
     for attempt in range(max_retries):
         try:
-            curves_a = _preimage_curves(pmap, jac, v1, seed + attempt)
-            curves_b = _preimage_curves(pmap, jac, v2, seed + attempt + 13)
+            curves_a = _preimage_curves(fused, v1, seed + attempt)
+            curves_b = _preimage_curves(fused, v2, seed + attempt + 13)
             if not curves_a and not curves_b:
                 return HopfResult(0, 0.0, [])
             if not curves_a or not curves_b:

@@ -62,16 +62,30 @@ def map_to_document(pmap: PolyMap) -> dict:
     }
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    """A JSON integer >= minimum; floats, bools and strings are refused."""
+    if type(value) is not int or value < minimum:
+        raise DocumentError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """An exact rational from its string form; a JSON number is refused."""
+    if not isinstance(value, str):
+        raise DocumentError(f"{what} must be a rational string, got {value!r}")
+    return Fraction(value)
+
+
 def document_to_map(doc: dict) -> PolyMap:
     try:
         version = doc["format_version"]
-        if version != FORMAT_VERSION:
-            raise DocumentError(f"unsupported format_version {version}")
-        m = int(doc["domain_dim"])
-        r = int(doc["codomain_dim"])
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise DocumentError(f"unsupported format_version {version!r}")
+        m = _integer(doc["domain_dim"], "domain_dim", 1)
+        r = _integer(doc["codomain_dim"], "codomain_dim", 1)
         order = doc.get("order")
         if order is not None:
-            order = int(order)
+            order = _integer(order, "order", 0)
         label = str(doc.get("label", ""))
         raw_components = doc["components"]
         if len(raw_components) != r:
@@ -80,10 +94,10 @@ def document_to_map(doc: dict) -> PolyMap:
         for raw in raw_components:
             terms = {}
             for entry in raw:
-                mono = tuple(int(e) for e in entry["exponents"])
-                if len(mono) != m or any(e < 0 for e in mono):
-                    raise DocumentError(f"bad exponent vector {entry['exponents']}")
-                coeff = GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))
+                mono = tuple(entry["exponents"])
+                if len(mono) != m or any(type(e) is not int or e < 0 for e in mono):
+                    raise DocumentError(f"bad exponent vector {entry['exponents']!r}")
+                coeff = GaussianRational(_rational(entry["re"], "re"), _rational(entry["im"], "im"))
                 if coeff.is_zero():
                     raise DocumentError("stored coefficients must be nonzero")
                 if mono in terms:
@@ -108,8 +122,10 @@ def dumps_canonical(obj) -> str:
 
 
 def write_document(pmap: PolyMap, path: str):
+    # build the text first: a map that cannot be exported leaves no file
+    text = dumps_canonical(map_to_document(pmap))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(map_to_document(pmap)))
+        fh.write(text)
 
 
 def read_document(path: str) -> PolyMap:

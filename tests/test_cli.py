@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from quadrep.cli import main
+from quadrep.maps import hopf_pair
+from quadrep.serialize import map_to_document
 
 
 def run(capsys, *argv):
@@ -149,9 +153,11 @@ def test_threads_flag_accepted(tmp_path, capsys):
 
 
 def test_generate_unmaterializable_target(tmp_path, capsys):
-    code, _, err = run(capsys, "generate", "pi_np3:3", "-o", str(tmp_path / "x.json"))
+    path = tmp_path / "x.json"
+    code, _, err = run(capsys, "generate", "pi_np3:3", "-o", str(path))
     assert code == 2
     assert "materialized" in err or "budget" in err
+    assert not path.exists()
 
 
 def test_verify_grid_infeasible_on_large_document(tmp_path, capsys):
@@ -160,3 +166,32 @@ def test_verify_grid_infeasible_on_large_document(tmp_path, capsys):
     code, report, err = run(capsys, "verify", path, "--mode", "grid")
     assert code == 2
     assert "grid zero test" in err
+
+
+def _first_term(doc):
+    return doc["components"][0][0]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda d: _first_term(d).update(re=0.1), id="float-coefficient"),
+        pytest.param(lambda d: _first_term(d).update(im=True), id="bool-coefficient"),
+        pytest.param(lambda d: _first_term(d)["exponents"].__setitem__(0, 4.7), id="float-exponent"),
+        pytest.param(lambda d: _first_term(d)["exponents"].__setitem__(0, True), id="bool-exponent"),
+        pytest.param(lambda d: d.update(order=True), id="bool-order"),
+        pytest.param(lambda d: d.update(domain_dim=True), id="bool-domain-dim"),
+        pytest.param(lambda d: d.update(codomain_dim=True), id="bool-codomain-dim"),
+        pytest.param(lambda d: d.update(order=-1), id="negative-order"),
+    ],
+)
+def test_verify_rejects_inexact_document_fields(tmp_path, capsys, mutate):
+    f, _ = hopf_pair()
+    doc = map_to_document(f)
+    mutate(doc)
+    path = str(tmp_path / "doc.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, report, err = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 2 and report is None
+    assert err.startswith("quadrep:") and "Traceback" not in err

@@ -1,0 +1,117 @@
+"""Compiled evaluator: both backends against a plain reference evaluator.
+
+The references below walk the terms one by one, in Fractions for the exact
+backend and in Python complex arithmetic for the batch backend, so they
+share no code with the compiled form they check.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadrep.exact import _ROW_BLOCK, _TERM_BLOCK, Evaluator, GaussianRational, Polynomial
+
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+gaussians = st.builds(GaussianRational, fractions, fractions)
+# zero coordinates get their own branch so they are drawn often
+coordinates = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, st.integers(-3, 3)), gaussians)
+floats = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+def reference_exact(poly: Polynomial, point) -> tuple[Fraction, Fraction]:
+    total_re, total_im = Fraction(0), Fraction(0)
+    for mono, c in poly.terms.items():
+        re, im = c.re, c.im
+        for v, e in zip(point, mono):
+            for _ in range(e):
+                re, im = re * v.re - im * v.im, re * v.im + im * v.re
+        total_re += re
+        total_im += im
+    return total_re, total_im
+
+
+def reference_complex(poly: Polynomial, z) -> tuple[complex, float]:
+    """Value at one point and the sum of the term magnitudes."""
+    total, scale = 0j, 0.0
+    for mono, c in poly.terms.items():
+        term = complex(c)
+        for v, e in zip(z, mono):
+            for _ in range(e):
+                term *= v
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+@st.composite
+def poly_lists(draw, max_polys=4, max_terms=8, max_exp=5):
+    nvars = draw(st.integers(1, 4))
+    monos = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    count = draw(st.integers(1, max_polys))
+    return [Polynomial(nvars, draw(st.dictionaries(monos, gaussians, max_size=max_terms))) for _ in range(count)]
+
+
+def assert_close(values, polys, Z):
+    for row, z in zip(values, Z):
+        for got, poly in zip(row, polys):
+            want, scale = reference_complex(poly, z)
+            assert abs(got - want) <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), polys=poly_lists())
+def test_exact_backend_equals_reference(data, polys):
+    point = data.draw(st.lists(coordinates, min_size=polys[0].nvars, max_size=polys[0].nvars))
+    values = Evaluator(polys).eval_exact(point)
+    for value, poly in zip(values, polys):
+        assert (value.re, value.im) == reference_exact(poly, point)
+        assert poly.eval_exact(point) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), polys=poly_lists(max_terms=12, max_exp=7))
+def test_batch_backend_one_row(data, polys):
+    nvars = polys[0].nvars
+    z = [complex(a, b) for a, b in data.draw(st.lists(st.tuples(floats, floats), min_size=nvars, max_size=nvars))]
+    values = Evaluator(polys).eval_batch(np.array([z]))
+    assert values.shape == (1, len(polys))
+    assert_close(values, polys, [z])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nterms=st.integers(_TERM_BLOCK + 1, 2 * _TERM_BLOCK + 50))
+def test_batch_backend_several_term_blocks(seed, nterms):
+    rng = random.Random(seed)
+    monos = rng.sample(list(itertools.product(range(10), repeat=3)), nterms)
+    poly = Polynomial(
+        3,
+        {m: GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-3, 3)) for m in monos},
+    )
+    Z = np.array([[complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(3)] for _ in range(5)])
+    assert_close(poly.eval_batch(Z)[:, None], [poly], Z)
+
+
+def test_batch_backend_several_row_blocks():
+    rng = np.random.default_rng(41)
+    poly = Polynomial(2, {(3, 1): GaussianRational(Fraction(1, 3), 2), (0, 2): GaussianRational(-5), (0, 0): GaussianRational(0, 1)})
+    Z = rng.normal(size=(_ROW_BLOCK + 3, 2)) + 1j * rng.normal(size=(_ROW_BLOCK + 3, 2))
+    assert_close(poly.eval_batch(Z)[:, None], [poly], Z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), polys=poly_lists(max_polys=3, max_terms=6))
+def test_fused_map_and_jacobian_equals_separate(data, polys):
+    nvars = polys[0].nvars
+    fused = polys + [p.derivative(i) for p in polys for i in range(nvars)]
+    point = data.draw(st.lists(coordinates, min_size=nvars, max_size=nvars))
+    assert Evaluator(fused).eval_exact(point) == [p.eval_exact(point) for p in fused]
+    Z = np.array([[complex(v) for v in point], [complex(v) * 0.5 - 0.25j for v in point]])
+    together = Evaluator(fused).eval_batch(Z)
+    for j, p in enumerate(fused):
+        alone = p.eval_batch(Z)
+        for n in range(len(Z)):
+            assert abs(together[n, j] - alone[n]) <= 1e-12 * reference_complex(p, Z[n])[1]

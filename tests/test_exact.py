@@ -33,6 +33,13 @@ def test_gaussian_rational_arithmetic():
     assert GaussianRational(0, 1) ** 2 == GaussianRational(-1, 0)
 
 
+def test_gaussian_rational_hash_matches_equality():
+    assert GaussianRational(3) == 3 and hash(GaussianRational(3)) == hash(3)
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({GaussianRational(3), 3, Fraction(3)}) == 1
+    assert len({GaussianRational(3, 1), 3}) == 2
+
+
 def test_gaussian_rational_canonical_text():
     cases = [
         GaussianRational(0),
@@ -192,6 +199,15 @@ def test_eval_exact_matches_complex():
         exact = complex(p.eval_exact(point))
         approx = p.eval_complex([complex(v) for v in point])
         assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_high_exponent_needs_no_recursion():
+    # a power 1500 deep: every power table is filled iteratively
+    p = Polynomial(1, {(1500,): 1})
+    assert p.eval_exact([GaussianRational(1, 1)]) == GaussianRational(-(2**750))
+    assert p.eval_exact([GaussianRational(Fraction(1, 2))]) == GaussianRational(Fraction(1, 2**1500))
+    assert abs(p.eval_batch(np.array([[0.999]]))[0] - 0.999**1500) < 1e-12
+    assert p.compose([Polynomial.variable(2, 0)]) == Polynomial(2, {(1500, 0): 1})
 
 
 def test_eval_batch_matches_pointwise():

@@ -81,6 +81,7 @@ def test_certificates_preserved_through_round_trip():
     "mutate",
     [
         lambda d: d.update(format_version=99),
+        lambda d: d.update(format_version=True),
         lambda d: d.update(components=d["components"][:-1]),
         lambda d: d["components"][0][0].update(re="not-a-rational"),
         lambda d: d["components"][0][0].update(exponents=[1]),
