@@ -46,7 +46,6 @@ from .numeric import (
     retraction_homotopy_residual,
     sample_quadric,
     sample_sphere,
-    set_thread_count,
     sphere_degree,
     sphere_retraction,
     tangent_lift,

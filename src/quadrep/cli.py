@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed for all sampling")
         p.add_argument("--samples", type=int, default=10_000, help="sample count for scans")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores; env QUADREP_THREADS)")
 
     p_gen = sub.add_parser("generate", help="build a catalog map and write its document")
     p_gen.add_argument("target", help="catalog target, e.g. pi_np1:3 or pi_n:1,2")
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None:
-        numeric.set_thread_count(args.threads)
     try:
         return args.func(args)
     except _Failure as exc:

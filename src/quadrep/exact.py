@@ -355,11 +355,13 @@ class Polynomial:
 
     # ---------------------------------------------------------- composition
 
-    def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
+    def compose(self, args: Sequence["Polynomial"], budget=None) -> "Polynomial":
         """Substitute args[i] for variable i; exact.
 
         All arguments must share a common variable count, which becomes the
-        variable count of the result.
+        variable count of the result.  A ``budget`` (anything with a
+        ``charge(amount)`` method) is charged the ``mul_cost`` of each
+        product before the product runs.
         """
         if len(args) != self.nvars:
             raise ValueError(f"arity mismatch: polynomial has {self.nvars} variables, got {len(args)} arguments")
@@ -379,8 +381,8 @@ class Polynomial:
                 if e:
                     row = powers[i]
                     while len(row) <= e:
-                        row.append(_mul_poly(row[-1], row[1]))
-                    piece = _mul_poly(piece, row[e])
+                        row.append(charged_mul(row[-1], row[1], budget))
+                    piece = charged_mul(piece, row[e], budget)
             total = total + piece
         return total
 
@@ -485,8 +487,6 @@ class Evaluator:
     # --------------------------------------------------------- batch backend
 
     def _batch_tables(self):
-        # Scan threads may build the tables at the same time on first use;
-        # they build equal tables and either assignment is correct.
         if self._batch is None:
             monos = sorted(
                 {mono for p in self.polys for mono in p.terms}, key=_grlex_key, reverse=True
@@ -696,6 +696,13 @@ def _finish(acc: dict[int, list], den: int, shift: int, nvars: int) -> Polynomia
 def mul_cost(a: Polynomial, b: Polynomial) -> int:
     """Number of coefficient products a full a*b expansion performs."""
     return len(a.terms) * len(b.terms)
+
+
+def charged_mul(a: Polynomial, b: Polynomial, budget) -> Polynomial:
+    """a * b, after charging its ``mul_cost`` to ``budget`` (None charges nothing)."""
+    if budget is not None:
+        budget.charge(mul_cost(a, b))
+    return _mul_poly(a, b)
 
 
 def _mul_poly(a: Polynomial, b: Polynomial) -> Polynomial:

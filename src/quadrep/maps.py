@@ -9,10 +9,11 @@ exactly, never numerically:
 
 * full-expansion: expand q(f) - q^k and test for the zero polynomial;
 * factored-expansion: for maps built by ``suspend`` or ``compose_maps``,
-  reduce the identity to the exact sub-identities of the construction
-  (children orders, orthogonality, the two-variable coefficient identity)
-  which are expanded in full.  The gluing steps are instances of
-  "composition with polynomials is a ring morphism";
+  reduce the identity to the exact sub-identities of the construction:
+  the children's orders, cited from the passing certificates they got when
+  they were built (a child without one is proved), and orthogonality and
+  the two-variable coefficient identity, expanded in full.  The gluing
+  steps are instances of "composition with polynomials is a ring morphism";
 * exact-evaluation: evaluate the difference on a full integer grid with
   per-variable point count exceeding the per-variable degree bound, a sound
   and complete zero test for polynomials.
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import GR_I, GR_ONE, Evaluator, GaussianRational, Polynomial, mul_cost
+from .exact import GR_I, GR_ONE, Evaluator, GaussianRational, Polynomial, charged_mul
 
 # Product-count budget for a single full expansion, and point budget for the
 # grid zero test.  Both are deliberate ceilings: beyond them the factored
@@ -103,31 +104,6 @@ class _Budget:
             )
 
 
-def _guarded_mul(a: Polynomial, b: Polynomial, budget: _Budget) -> Polynomial:
-    budget.charge(mul_cost(a, b))
-    return a * b
-
-
-def _guarded_compose(outer: Polynomial, args: Sequence[Polynomial], budget: _Budget) -> Polynomial:
-    """Budgeted variant of Polynomial.compose with shared power caching."""
-    if len(args) != outer.nvars:
-        raise ValueError("arity mismatch in composition")
-    n2 = args[0].nvars
-    # powers[i][e] is args[i]**e, filled upwards by one multiplication each
-    powers = [[Polynomial.constant(n2, 1), a] for a in args]
-    total = Polynomial.zero(n2)
-    for mono, coeff in outer.terms.items():
-        piece = Polynomial.constant(n2, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                row = powers[i]
-                while len(row) <= e:
-                    row.append(_guarded_mul(row[-1], row[1], budget))
-                piece = _guarded_mul(piece, row[e], budget)
-        total = total + piece
-    return total
-
-
 # ----------------------------------------------------------------- q and b
 
 
@@ -137,16 +113,6 @@ def quadratic_form(m: int) -> Polynomial:
         raise ValueError("the quadratic form needs at least one variable")
     terms = {}
     for i in range(m):
-        mono = [0] * m
-        mono[i] = 2
-        terms[tuple(mono)] = GR_ONE
-    return Polynomial(m, terms)
-
-
-def _leading_block_form(m: int, first: int) -> Polynomial:
-    """z_1^2 + ... + z_first^2 viewed inside m variables."""
-    terms = {}
-    for i in range(first):
         mono = [0] * m
         mono[i] = 2
         terms[tuple(mono)] = GR_ONE
@@ -362,7 +328,7 @@ def bilinear_pairing(f: PolyMap, g: PolyMap, budget: int = DEFAULT_EXPANSION_BUD
         if f.node.inner.components is None:
             raise InfeasibleError("nonzero outer pairing and no materialized inner components")
         tracker = _Budget(budget)
-        return _guarded_compose(outer, f.node.inner.components, tracker)
+        return outer.compose(f.node.inner.components, tracker)
     if f.components is None or g.components is None:
         raise InfeasibleError(
             "b-pairing needs materialized components (or a shared composition structure)"
@@ -370,7 +336,7 @@ def bilinear_pairing(f: PolyMap, g: PolyMap, budget: int = DEFAULT_EXPANSION_BUD
     tracker = _Budget(budget)
     total = Polynomial.zero(f.m)
     for a, b in zip(f.components, g.components):
-        total = total + _guarded_mul(a, b, tracker)
+        total = total + charged_mul(a, b, tracker)
     return total
 
 
@@ -449,6 +415,15 @@ def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
     )
 
 
+def _child_cert(child: PolyMap, k: int, budget: _Budget) -> Certificate:
+    """The certificate a child got when it was built, cited when it passes
+    for order k; only a child without one is proved here."""
+    cert = child.certificate
+    if cert is not None and cert.verdict and cert.claimed_order == k:
+        return cert
+    return _expansion_cert(child, k, budget)
+
+
 def _suspension_cert(node: SuspensionNode, k: int, budget: _Budget) -> Certificate:
     kc = node.f.order
     if kc is None or node.g.order != kc:
@@ -461,10 +436,10 @@ def _suspension_cert(node: SuspensionNode, k: int, budget: _Budget) -> Certifica
             detail={"children_order": kc},
             witness=f"suspension of order-{kc} maps has order {2 * kc - 1}, not {k}",
         )
-    cert_f = _expansion_cert(node.f, kc, budget)
+    cert_f = _child_cert(node.f, kc, budget)
     if not cert_f.verdict:
         return Certificate(k, "factored-expansion", False, {"failed": "first factor"}, cert_f.witness)
-    cert_g = _expansion_cert(node.g, kc, budget)
+    cert_g = _child_cert(node.g, kc, budget)
     if not cert_g.verdict:
         return Certificate(k, "factored-expansion", False, {"failed": "second factor"}, cert_g.witness)
     pairing = bilinear_pairing(node.f, node.g, budget.limit - budget.spent)
@@ -506,10 +481,10 @@ def _composition_cert(node: CompositionNode, k: int, budget: _Budget) -> Certifi
             detail={"outer_order": ko, "inner_order": ki},
             witness=f"composition of orders {ko} and {ki} has order {ko * ki}, not {k}",
         )
-    cert_o = _expansion_cert(node.outer, ko, budget)
+    cert_o = _child_cert(node.outer, ko, budget)
     if not cert_o.verdict:
         return Certificate(k, "factored-expansion", False, {"failed": "outer"}, cert_o.witness)
-    cert_i = _expansion_cert(node.inner, ki, budget)
+    cert_i = _child_cert(node.inner, ki, budget)
     if not cert_i.verdict:
         return Certificate(k, "factored-expansion", False, {"failed": "inner"}, cert_i.witness)
     return Certificate(
@@ -626,16 +601,16 @@ def _materialize_suspension(node: SuspensionNode, budget_limit: int) -> Optional
     try:
         budget = _Budget(budget_limit)
         s_poly = quadratic_form(m)
-        t_poly = _leading_block_form(m, f.m)
-        b1 = _guarded_compose(triple.f_coeff, [s_poly, t_poly], budget)
-        b2 = _guarded_compose(triple.g_coeff, [s_poly, t_poly], budget)
-        rr = _guarded_compose(triple.u_coeff, [s_poly, t_poly], budget)
+        t_poly = quadratic_form(f.m).extend(m)
+        b1 = triple.f_coeff.compose([s_poly, t_poly], budget)
+        b2 = triple.g_coeff.compose([s_poly, t_poly], budget)
+        rr = triple.u_coeff.compose([s_poly, t_poly], budget)
         comps = []
         for fj, gj in zip(f.components, g.components):
             fe, ge = fj.extend(m), gj.extend(m)
-            comps.append(_guarded_mul(b1, fe, budget) + _guarded_mul(b2, ge, budget))
+            comps.append(charged_mul(b1, fe, budget) + charged_mul(b2, ge, budget))
         for i in range(ell):
-            comps.append(_guarded_mul(rr, Polynomial.variable(m, f.m + i), budget))
+            comps.append(charged_mul(rr, Polynomial.variable(m, f.m + i), budget))
         return comps
     except InfeasibleError:
         return None
@@ -697,7 +672,7 @@ def _materialize_composition(node: CompositionNode, budget_limit: int) -> Option
         return None
     try:
         budget = _Budget(budget_limit)
-        return [_guarded_compose(c, inner.components, budget) for c in outer.components]
+        return [c.compose(inner.components, budget) for c in outer.components]
     except InfeasibleError:
         return None
 
@@ -809,9 +784,9 @@ def _hopf_suspension(ell: int) -> PolyMap:
     return suspend(f, g, ell)
 
 
-def _second_stage_pair() -> tuple[PolyMap, PolyMap]:
-    """(f1, g1): the Hopf pair composed with the one-step suspension; order 6."""
-    f, g = hopf_pair()
+def _second_stage_pair(f: PolyMap, g: PolyMap) -> tuple[PolyMap, PolyMap]:
+    """(f1, g1): the Hopf pair (f, g) composed with its one-step suspension;
+    order 6."""
     phi = suspend(f, g, 1)
     f1 = compose_maps(f, phi)
     g1 = compose_maps(g, phi)
@@ -821,7 +796,7 @@ def _second_stage_pair() -> tuple[PolyMap, PolyMap]:
 def _third_stage_pair(materialize_budget: int) -> tuple[PolyMap, PolyMap]:
     """(f2, g2): order-22 pair on C^6 driving the 2-torsion chain."""
     f, g = hopf_pair()
-    f1, g1 = _second_stage_pair()
+    f1, g1 = _second_stage_pair(f, g)
     big_phi = suspend(f1, g1, 1)
     f2 = compose_maps(f, big_phi, materialize_budget)
     g2 = compose_maps(g, big_phi, materialize_budget)
@@ -869,7 +844,7 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
         (n,) = args
         if n < 2:
             raise CatalogError("pi_np2 needs n >= 2")
-        f1, g1 = _second_stage_pair()
+        f1, g1 = _second_stage_pair(*hopf_pair())
         out = f1 if n == 2 else suspend(f1, g1, n - 2)
     elif name == "pi3_s2":
         if len(args) != 1:

@@ -8,16 +8,13 @@ of maps S^3 -> S^2 computed as the linking number of two regular-value
 preimage circles.
 
 All sampling is seeded and all reductions run over fixed-size chunks in a
-fixed order, so results are reproducible and independent of the worker
-thread count.
+fixed order, so results are reproducible.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,40 +31,12 @@ class NumericError(Exception):
     """A numeric certification failed its tolerance or regularity contract."""
 
 
-# ------------------------------------------------------------------ threads
-
-_thread_override: Optional[int] = None
-_CHUNK = 2048
-
-
-def set_thread_count(n: Optional[int]):
-    """Worker threads for chunked scans; None restores the default."""
-    global _thread_override
-    _thread_override = n
+_CHUNK = 2048  # points per evaluation in the residual scan
 
 
 def thread_count() -> int:
-    if _thread_override is not None:
-        return max(1, _thread_override)
-    env = os.environ.get("QUADREP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _chunked_max(n: int, work: Callable[[slice], float]) -> float:
-    """Max of work(chunk) over fixed chunks; parallel but order-deterministic."""
-    slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-    workers = thread_count()
-    if workers <= 1 or len(slices) <= 1:
-        results = [work(s) for s in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, slices))
-    return max(results, default=0.0)
+    """Threads the scans run on: always 1, the calling thread."""
+    return 1
 
 
 # ----------------------------------------------------------------- sampling
@@ -227,12 +196,11 @@ def quadric_residual_scan(mapping, samples: int = 10_000, seed: int = 0) -> floa
     real_pts = sample_sphere(m - 1, n_real, seed).astype(complex)
     cplx_pts = sample_quadric(m, n_cplx, seed + 1)
     pts = np.concatenate([real_pts, cplx_pts], axis=0)
-
-    def work(sl: slice) -> float:
-        W = mapping.eval_batch(pts[sl])
-        return float(np.abs(np.sum(W * W, axis=1) - 1.0).max(initial=0.0))
-
-    return _chunked_max(len(pts), work)
+    worst = 0.0
+    for i in range(0, len(pts), _CHUNK):
+        W = mapping.eval_batch(pts[i : i + _CHUNK])
+        worst = max(worst, float(np.abs(np.sum(W * W, axis=1) - 1.0).max(initial=0.0)))
+    return worst
 
 
 @dataclass
@@ -451,6 +419,7 @@ class _PreimageSystem:
         return tau if sign > 0 else -tau
 
     def newton(self, p: np.ndarray, tol: float = 1e-10, max_iter: int = 60):
+        """(point, constraint Jacobian there) on convergence, else None."""
         p = p.copy()
         for _ in range(max_iter):
             G, JG, h = self.residual_and_jac(p)
@@ -458,7 +427,7 @@ class _PreimageSystem:
             if gmax < tol:
                 if np.dot(h, self.value) <= 0.25:
                     return None  # converged to the antipodal sheet
-                return p
+                return p, JG
             sv = np.linalg.svd(JG, compute_uv=False)
             if sv[-1] < 1e-8 * max(sv[0], 1e-12):
                 if gmax < 1e-3:
@@ -468,12 +437,12 @@ class _PreimageSystem:
             p = p - JG.T @ np.linalg.solve(JG @ JG.T, G)
         return None
 
-    def tangent(self, p: np.ndarray, previous: Optional[np.ndarray]) -> np.ndarray:
-        _, JG, _ = self.residual_and_jac(p)
-        sv = np.linalg.svd(JG, compute_uv=False)
+    def tangent(self, JG: np.ndarray, previous: Optional[np.ndarray]) -> np.ndarray:
+        """Unit tangent of the curve from the constraint Jacobian JG that
+        ``newton`` converged with."""
+        _, sv, vt = np.linalg.svd(JG)
         if sv[-1] < 1e-8 * sv[0]:
             raise _RankDrop
-        _, _, vt = np.linalg.svd(JG)
         tau = vt[-1]
         if previous is not None and np.dot(tau, previous) < 0:
             tau = -tau
@@ -483,6 +452,7 @@ class _PreimageSystem:
 def _trace_curve(
     system: _PreimageSystem,
     start: np.ndarray,
+    start_jac: np.ndarray,
     step: float = 1e-2,
     newton_tol: float = 1e-10,
     max_steps: int = 100_000,
@@ -490,14 +460,14 @@ def _trace_curve(
     """Predictor-corrector continuation along the preimage circle."""
     points = [start]
     p = start
-    tau = system.orient_fiber_tangent(p, system.tangent(p, None))
+    tau = system.orient_fiber_tangent(p, system.tangent(start_jac, None))
     for n_steps in range(max_steps):
         predictor = p + step * tau
         corrected = system.newton(predictor, tol=newton_tol)
         if corrected is None:
             raise NumericError("corrector failed to converge during curve tracing")
-        tau = system.tangent(corrected, tau)
-        p = corrected
+        p, jac = corrected
+        tau = system.tangent(jac, tau)
         points.append(p)
         if n_steps >= 5 and np.linalg.norm(p - start) < 0.9 * step:
             return TracedCurve(np.array(points), True, system.value.copy())
@@ -523,10 +493,11 @@ def _preimage_curves(
             continue
         if refined is None:
             continue
-        if any(np.min(np.linalg.norm(c.points - refined, axis=1)) < 5 * step for c in curves):
+        start, start_jac = refined
+        if any(np.min(np.linalg.norm(c.points - start, axis=1)) < 5 * step for c in curves):
             continue
         try:
-            curves.append(_trace_curve(system, refined, step=step))
+            curves.append(_trace_curve(system, start, start_jac, step=step))
         except _RankDrop:
             rank_drops += 1
             continue

@@ -76,6 +76,25 @@ def _rational(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+_CERTIFICATE_KEYS = {"claimed_order", "method", "verdict", "detail", "witness"}
+
+
+def _certificate(entry) -> dict:
+    """A certificate entry as ``Certificate.summary()`` writes it."""
+    if not (
+        isinstance(entry, dict)
+        and {"claimed_order", "method", "verdict"} <= entry.keys() <= _CERTIFICATE_KEYS
+        and (entry["claimed_order"] is None or type(entry["claimed_order"]) is int)
+        and (entry["claimed_order"] or 0) >= 0
+        and isinstance(entry["method"], str)
+        and entry["verdict"] in ("pass", "fail")
+        and isinstance(entry.get("detail", {}), dict)
+        and isinstance(entry.get("witness", ""), str)
+    ):
+        raise DocumentError(f"malformed certificate entry {entry!r}")
+    return entry
+
+
 def document_to_map(doc: dict) -> PolyMap:
     try:
         version = doc["format_version"]
@@ -86,7 +105,9 @@ def document_to_map(doc: dict) -> PolyMap:
         order = doc.get("order")
         if order is not None:
             order = _integer(order, "order", 0)
-        label = str(doc.get("label", ""))
+        label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise DocumentError(f"label must be a string, got {label!r}")
         raw_components = doc["components"]
         if len(raw_components) != r:
             raise DocumentError("component count does not match codomain_dim")
@@ -108,7 +129,7 @@ def document_to_map(doc: dict) -> PolyMap:
         certs = doc.get("certificates", [])
         if not isinstance(certs, list):
             raise DocumentError("certificates must be a list")
-        pmap.document_certificates = certs
+        pmap.document_certificates = [_certificate(c) for c in certs]
         return pmap
     except DocumentError:
         raise

@@ -143,11 +143,11 @@ def test_report_key_set_stable(tmp_path, capsys):
     assert set(r1["checks"][0].keys()) == set(r2["checks"][0].keys())
 
 
-def test_threads_flag_accepted(tmp_path, capsys):
+def test_sampled_verify_repeatable(tmp_path, capsys):
     path = str(tmp_path / "phi.json")
     run(capsys, "generate", "pi_np1:3", "-o", path)
-    code, r1, _ = run(capsys, "verify", path, "--mode", "sampled", "--threads", "1")
-    code2, r2, _ = run(capsys, "verify", path, "--mode", "sampled", "--threads", "2")
+    code, r1, _ = run(capsys, "verify", path, "--mode", "sampled", "--seed", "5")
+    code2, r2, _ = run(capsys, "verify", path, "--mode", "sampled", "--seed", "5")
     assert code == 0 and code2 == 0
     assert r1["checks"][0]["value"] == r2["checks"][0]["value"]
 
@@ -183,6 +183,8 @@ def _first_term(doc):
         pytest.param(lambda d: d.update(domain_dim=True), id="bool-domain-dim"),
         pytest.param(lambda d: d.update(codomain_dim=True), id="bool-codomain-dim"),
         pytest.param(lambda d: d.update(order=-1), id="negative-order"),
+        pytest.param(lambda d: d.update(label=5), id="number-label"),
+        pytest.param(lambda d: d.update(certificates=[1.5, True]), id="loose-certificates"),
     ],
 )
 def test_verify_rejects_inexact_document_fields(tmp_path, capsys, mutate):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadrep.exact import GR_I, GaussianRational, Polynomial
+from quadrep import exact
+from quadrep.exact import GR_I, GaussianRational, Polynomial, mul_cost
+from quadrep.maps import InfeasibleError, _Budget
 
 
 def random_poly(rng, nvars, max_deg=3, nterms=5, with_imag=True):
@@ -175,6 +177,49 @@ def test_compose_is_ring_morphism():
         v = [random_poly(rng, 2, max_deg=2, nterms=2) for _ in range(2)]
         assert (a * b).compose(v) == a.compose(v) * b.compose(v)
         assert (a + b).compose(v) == a.compose(v) + b.compose(v)
+
+
+def _compose_cases():
+    """(outer, args) inputs of the composition tests above."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    z = [Polynomial.variable(3, i) for i in range(3)]
+    q3 = z[0].square() + z[1].square() + z[2].square()
+    q2 = z[0].square() + z[1].square()
+    rng = np.random.default_rng(23)
+    a = random_poly(rng, 2, max_deg=2, nterms=3)
+    b = random_poly(rng, 2, max_deg=2, nterms=3)
+    v = [random_poly(rng, 2, max_deg=2, nterms=2) for _ in range(2)]
+    return [
+        pytest.param(x + y, [x.square(), y.square()], id="sum-of-squares"),
+        pytest.param(x + y.scale(Fraction(1, 2)), [q3, q2], id="halfshift"),
+        pytest.param(Polynomial.constant(2, Fraction(5, 3)), [z[0], z[1] ** 2], id="constant"),
+        pytest.param(a * b, v, id="random-product"),
+        pytest.param((x + y) ** 4, [x + y.scale(GR_I), x * y], id="dense-power"),
+    ]
+
+
+@pytest.mark.parametrize("outer, args", _compose_cases())
+def test_compose_charges_budget(monkeypatch, outer, args):
+    plain = outer.compose(args)
+    products = []
+    real = exact._mul_poly
+
+    def counted(a, b):
+        products.append(mul_cost(a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(exact, "_mul_poly", counted)
+    budget = _Budget(10**9)
+    assert outer.compose(args, budget) == plain
+    cost = sum(products)
+    assert budget.spent == cost
+    assert outer.compose(args, _Budget(cost)) == plain
+    if cost:
+        products.clear()
+        with pytest.raises(InfeasibleError):
+            outer.compose(args, _Budget(cost - 1))
+        # charged before it runs: the product that overdraws never happens
+        assert sum(products) < cost
 
 
 # -------------------------------------------------------------- evaluation

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from quadrep import maps
+from quadrep.coefficients import suspension_triple
 from quadrep.exact import GaussianRational, Polynomial
 from quadrep.maps import (
     CatalogError,
+    Certificate,
+    CompositionNode,
     DimensionMismatch,
     InfeasibleError,
     PolyMap,
@@ -313,6 +317,119 @@ def test_catalog_deep_suspension():
     # depth-2 orthogonality: b-pairing of the deep pair is exactly zero
     node = sus.node
     assert bilinear_pairing(node.f, node.g).is_zero()
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap maps.<name> so that each call appends its first argument."""
+    seen = []
+    real = getattr(maps, name)
+
+    def counted(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(maps, name, counted)
+    return seen
+
+
+def test_catalog_proves_each_node_once(monkeypatch):
+    certified = _count_calls(monkeypatch, "certify_order")
+    expanded = _count_calls(monkeypatch, "_expansion_cert")
+    sus = catalog("pi_np3:3")
+    assert sus.certificate.verdict
+    # the Hopf pair (2), phi, f1, g1, the order-11 suspension, f2, g2 and the
+    # result: one expansion per certified node, every child is cited
+    assert len(certified) == 9
+    assert len(expanded) == 9
+
+
+_CHILD_RULES = {
+    "suspension": (
+        3,
+        {
+            "claimed_order": 3,
+            "method": "factored-expansion",
+            "verdict": "pass",
+            "detail": {
+                "rule": "suspension of two b-orthogonal order-k maps has order 2k-1",
+                "children_order": 2,
+                "children_methods": ["full-expansion", "full-expansion"],
+            },
+        },
+        {"failed": "first factor"},
+    ),
+    "composition": (
+        6,
+        {
+            "claimed_order": 6,
+            "method": "factored-expansion",
+            "verdict": "pass",
+            "detail": {
+                "rule": "q(outer(inner)) = (q^k_outer)(inner) = (q(inner))^k_outer",
+                "outer_order": 2,
+                "inner_order": 3,
+                "children_methods": ["full-expansion", "full-expansion"],
+            },
+        },
+        {"failed": "outer"},
+    ),
+}
+
+
+def _node_with_child(rule, sound, stored):
+    """A construction node whose first child is a copy of hopf.f carrying the
+    stored certificate; an unsound copy has one extra term."""
+    f, g = hopf_pair()
+    comps = list(f.components)
+    if not sound:
+        comps[0] = comps[0] + Polynomial.variable(4, 1) * Polynomial.variable(4, 2)
+    child = PolyMap.explicit(comps, "child", order=2, certificate=stored)
+    if rule == "suspension":
+        return SuspensionNode(child, g, suspension_triple(2), 1), child
+    return CompositionNode(child, suspend(f, g, 1)), child
+
+
+def _factored_cert(node, k):
+    rule = maps._suspension_cert if isinstance(node, SuspensionNode) else maps._composition_cert
+    return rule(node, k, maps._Budget(maps.DEFAULT_EXPANSION_BUDGET))
+
+
+@pytest.mark.parametrize("rule", sorted(_CHILD_RULES))
+@pytest.mark.parametrize("sound", [True, False], ids=["sound", "unsound"])
+@pytest.mark.parametrize(
+    "stored",
+    [
+        pytest.param(Certificate(2, "full-expansion", False, witness="stale"), id="failing"),
+        pytest.param(Certificate(5, "full-expansion", True), id="other-order"),
+        pytest.param(None, id="none"),
+    ],
+)
+def test_uncitable_child_certificate_is_proved(monkeypatch, rule, sound, stored):
+    node, child = _node_with_child(rule, sound, stored)
+    proved = _count_calls(monkeypatch, "_expansion_cert")
+    k, passing, failed = _CHILD_RULES[rule]
+    cert = _factored_cert(node, k)
+    assert proved == [child]  # the other child is cited
+    if sound:
+        assert cert.summary() == passing
+    else:
+        assert cert.summary() == {
+            "claimed_order": k,
+            "method": "factored-expansion",
+            "verdict": "fail",
+            "detail": failed,
+            "witness": "nonzero difference term 2 * (2, 1, 1, 0)",
+        }
+
+
+@pytest.mark.parametrize("rule", sorted(_CHILD_RULES))
+def test_passing_child_certificate_is_cited(monkeypatch, rule):
+    node, child = _node_with_child(rule, True, None)
+    child.certificate = certify_order(child, 2)
+    proved = _count_calls(monkeypatch, "_expansion_cert")
+    k, passing, _ = _CHILD_RULES[rule]
+    assert _factored_cert(node, k).summary() == passing
+    assert proved == []
 
 
 # ------------------------------------------------------------------- blends

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadrep.exact import GaussianRational, Polynomial
-from quadrep.maps import InfeasibleError, PolyMap, catalog, hopf_pair
+from quadrep.maps import Certificate, InfeasibleError, PolyMap, catalog, hopf_pair
 from quadrep.serialize import (
     DocumentError,
     document_to_map,
@@ -77,6 +77,16 @@ def test_certificates_preserved_through_round_trip():
     assert map_to_document(back)["certificates"] == doc["certificates"]
 
 
+def test_every_certificate_summary_shape_accepted():
+    f, _ = hopf_pair()
+    doc = map_to_document(f)
+    doc["certificates"] = [
+        Certificate(None, "full-expansion", False, witness="nonzero term").summary(),
+        Certificate(2, "exact-evaluation", True, {"grid_points": 9}).summary(),
+    ]
+    assert document_to_map(doc).document_certificates == doc["certificates"]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -88,6 +98,18 @@ def test_certificates_preserved_through_round_trip():
         lambda d: d["components"][0][0].update(re="0", im="0"),
         lambda d: d["components"][0].append(dict(d["components"][0][0])),
         lambda d: d.pop("components"),
+        lambda d: d.update(label=5),
+        lambda d: d.update(label=None),
+        lambda d: d.update(certificates=[1.5, True]),
+        lambda d: d["certificates"][0].update(extra=1),
+        lambda d: d["certificates"][0].pop("method"),
+        lambda d: d["certificates"][0].update(claimed_order=True),
+        lambda d: d["certificates"][0].update(claimed_order=-1),
+        lambda d: d["certificates"][0].update(claimed_order=2.0),
+        lambda d: d["certificates"][0].update(method=1),
+        lambda d: d["certificates"][0].update(verdict=True),
+        lambda d: d["certificates"][0].update(detail=[]),
+        lambda d: d["certificates"][0].update(witness=7),
     ],
 )
 def test_malformed_documents_rejected(mutate):
