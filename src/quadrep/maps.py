@@ -27,6 +27,7 @@ is out of reach.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -66,7 +67,7 @@ class CatalogError(MapError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     """Outcome of an exact order / orthogonality verification."""
 
@@ -122,7 +123,7 @@ def quadratic_form(m: int) -> Polynomial:
 # ------------------------------------------------------------- structure
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuspensionNode:
     f: "PolyMap"
     g: "PolyMap"
@@ -169,7 +170,7 @@ class SuspensionNode:
         return coeff_deg + max(self.f.max_degree_bound(), self.g.max_degree_bound(), 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompositionNode:
     outer: "PolyMap"
     inner: "PolyMap"
@@ -189,6 +190,7 @@ class CompositionNode:
         return self.outer.max_degree_bound() * self.inner.max_degree_bound()
 
 
+@dataclass(frozen=True, eq=False)
 class PolyMap:
     """Polynomial map C^m -> C^r with optional certified order and lineage.
 
@@ -196,44 +198,40 @@ class PolyMap:
     small enough to store; ``node`` records how the map was built and keeps
     large maps evaluable and certifiable without materialized components.
     At least one of the two is always present.
+
+    Maps are immutable and compare by identity; ``certificate`` is set only
+    by the builder that proved the order, so factored proofs may cite it.
     """
 
-    def __init__(
-        self,
-        m: int,
-        r: int,
-        components: Optional[list[Polynomial]] = None,
-        node: Optional[SuspensionNode | CompositionNode] = None,
-        label: str = "",
-        order: Optional[int] = None,
-        certificate: Optional[Certificate] = None,
-    ):
-        if components is None and node is None:
+    m: int
+    r: int
+    components: Optional[list[Polynomial]] = None
+    node: Optional[SuspensionNode | CompositionNode] = None
+    label: str = ""
+    order: Optional[int] = None
+    # raw certificate summaries carried by an imported document, kept so
+    # that export -> import -> export stays byte-identical
+    document_certificates: Optional[list[dict]] = None
+    certificate: Optional[Certificate] = field(default=None, init=False)
+    _evaluator: Optional[Evaluator] = field(default=None, init=False)
+    _degree_bound: Optional[int] = field(default=None, init=False)
+
+    def __post_init__(self):
+        if self.components is None and self.node is None:
             raise ValueError("a PolyMap needs explicit components or a structure node")
-        if components is not None:
-            if len(components) != r:
+        if self.components is not None:
+            if len(self.components) != self.r:
                 raise DimensionMismatch("component count must equal the codomain dimension")
-            for c in components:
-                if c.nvars != m:
+            for c in self.components:
+                if c.nvars != self.m:
                     raise DimensionMismatch("every component must live in the domain variables")
-        self.m = m
-        self.r = r
-        self.components = components
-        self.node = node
-        self.label = label
-        self.order = order
-        self.certificate = certificate
-        # raw certificate summaries carried by an imported document, kept so
-        # that export -> import -> export stays byte-identical
-        self.document_certificates: Optional[list[dict]] = None
-        self._evaluator: Optional[Evaluator] = None
 
     def __repr__(self):
         state = "explicit" if self.components is not None else "structural"
         return f"PolyMap(m={self.m}, r={self.r}, order={self.order}, {state}, label={self.label!r})"
 
     @classmethod
-    def explicit(cls, components: list[Polynomial], label: str, order=None, certificate=None) -> "PolyMap":
+    def explicit(cls, components: list[Polynomial], label: str, order=None) -> "PolyMap":
         if not components:
             raise ValueError("a map needs at least one component")
         return cls(
@@ -242,7 +240,6 @@ class PolyMap:
             components=list(components),
             label=label,
             order=order,
-            certificate=certificate,
         )
 
     # ---------------------------------------------------------- evaluation
@@ -252,7 +249,7 @@ class PolyMap:
         if self.components is None:
             raise InfeasibleError("compiled evaluation needs materialized components")
         if self._evaluator is None:
-            self._evaluator = Evaluator(self.components)
+            object.__setattr__(self, "_evaluator", Evaluator(self.components))
         return self._evaluator
 
     def eval_batch(self, points) -> np.ndarray:
@@ -288,9 +285,15 @@ class PolyMap:
         return self.node.per_variable_bounds()
 
     def max_degree_bound(self) -> int:
-        if self.components is not None:
-            return max((c.degree() for c in self.components), default=0)
-        return self.node.max_degree_bound()
+        """Bound on the total degree, computed once: every certification
+        checks it, and children's bounds feed their parents'."""
+        if self._degree_bound is None:
+            if self.components is not None:
+                bound = max((c.degree() for c in self.components), default=0)
+            else:
+                bound = self.node.max_degree_bound()
+            object.__setattr__(self, "_degree_bound", bound)
+        return self._degree_bound
 
     def max_component_terms(self) -> Optional[int]:
         if self.components is None:
@@ -553,35 +556,43 @@ def certify_order(
     ``method`` is "auto", "expansion" or "grid".  A cheap exact-evaluation
     refutation pass runs first in every mode: a single nonzero value is a
     sound disproof and catches corrupted maps and wrong claimed orders long
-    before any expensive proof work.
+    before any expensive proof work.  A claim above the map's degree bound
+    is refuted before q^k is formed.  The map is not modified.
     """
     if k < 0:
         raise ValueError("claimed order must be nonnegative")
     if method not in ("auto", "expansion", "grid"):
         raise ValueError(f"unknown certification method {method!r}")
+    bound = max(pmap.max_degree_bound(), 0)
+    if k > bound:
+        witness = f"deg q(f) <= {2 * bound} < {2 * k} = deg q^{k}"
+        return Certificate(k, "exact-evaluation", False, {"stage": "degree bound"}, witness)
     witness = _refute(pmap, k)
     if witness is not None:
-        cert = Certificate(
+        return Certificate(
             claimed_order=k,
             method="exact-evaluation",
             verdict=False,
             detail={"stage": "refutation scan"},
             witness=witness,
         )
-        return cert
     if method in ("auto", "expansion"):
         try:
-            cert = _expansion_cert(pmap, k, _Budget(expansion_budget))
-            if cert.verdict and pmap.order == k:
-                pmap.certificate = cert
-            return cert
+            return _expansion_cert(pmap, k, _Budget(expansion_budget))
         except InfeasibleError:
             if method == "expansion":
                 raise
-    cert = _grid_cert(pmap, k, grid_budget)
-    if cert.verdict and pmap.order == k:
-        pmap.certificate = cert
-    return cert
+    return _grid_cert(pmap, k, grid_budget)
+
+
+def _certified(pmap: PolyMap, what: str) -> PolyMap:
+    """Prove ``pmap`` at its own order and attach the certificate: the only
+    writer of ``PolyMap.certificate``, so ``_child_cert`` may cite it."""
+    cert = certify_order(pmap, pmap.order, method="expansion")
+    if not cert.verdict:
+        raise MapError(f"{what} failed its order certificate: {cert.witness}")
+    object.__setattr__(pmap, "certificate", cert)
+    return pmap
 
 
 # --------------------------------------------------------------- builders
@@ -655,10 +666,7 @@ def suspend(
         label=f"suspend({f.label},{g.label},{ell})",
         order=2 * k - 1,
     )
-    out.certificate = certify_order(out, 2 * k - 1, method="expansion")
-    if not out.certificate.verdict:
-        raise MapError(f"suspension failed its own order certificate: {out.certificate.witness}")
-    return out
+    return _certified(out, "suspension")
 
 
 def _materialize_composition(node: CompositionNode, budget_limit: int) -> Optional[list[Polynomial]]:
@@ -700,11 +708,7 @@ def compose_maps(
         label=f"compose({outer.label},{inner.label})",
         order=order,
     )
-    if order is not None:
-        out.certificate = certify_order(out, order, method="expansion")
-        if not out.certificate.verdict:
-            raise MapError(f"composition failed its order certificate: {out.certificate.witness}")
-    return out
+    return out if order is None else _certified(out, "composition")
 
 
 def hopf_pair() -> tuple[PolyMap, PolyMap]:
@@ -726,12 +730,8 @@ def hopf_pair() -> tuple[PolyMap, PolyMap]:
         2 * (z[0] * z[1]) + 2 * (z[2] * z[3]),
         sq[1] + sq[3] - sq[0] - sq[2],
     ]
-    f = PolyMap.explicit(f_comps, "hopf.f", order=2)
-    g = PolyMap.explicit(g_comps, "hopf.g", order=2)
-    for pm in (f, g):
-        pm.certificate = certify_order(pm, 2, method="expansion")
-        if not pm.certificate.verdict:
-            raise MapError("hopf pair failed its order certificate")
+    f = _certified(PolyMap.explicit(f_comps, "hopf.f", order=2), "hopf pair")
+    g = _certified(PolyMap.explicit(g_comps, "hopf.g", order=2), "hopf pair")
     if not bilinear_pairing(f, g).is_zero():
         raise MapError("hopf pair failed b-orthogonality")
     return f, g
@@ -759,21 +759,15 @@ def circle_pair(d: int) -> tuple[PolyMap, PolyMap]:
     f2 = Polynomial(2, im_terms)
     if d < 0:
         f2 = -f2
-    f = PolyMap.explicit([f1, f2], f"circle({d}).f", order=n)
-    g = PolyMap.explicit([-f2, f1], f"circle({d}).g", order=n)
-    for pm in (f, g):
-        pm.certificate = certify_order(pm, n, method="expansion")
-        if not pm.certificate.verdict:
-            raise MapError("circle pair failed its order certificate")
+    f = _certified(PolyMap.explicit([f1, f2], f"circle({d}).f", order=n), "circle pair")
+    g = _certified(PolyMap.explicit([-f2, f1], f"circle({d}).g", order=n), "circle pair")
     return f, g
 
 
 def constant_map(m: int, r: int) -> PolyMap:
     """Constant map to the basepoint (1, 0, ..., 0); represents the unit class."""
     comps = [Polynomial.constant(m, 1)] + [Polynomial.zero(m) for _ in range(r - 1)]
-    out = PolyMap.explicit(comps, f"constant({m},{r})", order=0)
-    out.certificate = certify_order(out, 0, method="expansion")
-    return out
+    return _certified(PolyMap.explicit(comps, f"constant({m},{r})", order=0), "constant map")
 
 
 # ----------------------------------------------------------------- catalog
@@ -867,11 +861,9 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
     else:
         raise CatalogError(f"unknown catalog target {name!r}")
 
-    if out.order is not None and out.certificate is None:
-        out.certificate = certify_order(out, out.order)
-    if out.certificate is None or not out.certificate.verdict:
-        raise MapError(f"catalog map {target} lacks a passing certificate")
-    out.label = f"{target} := {out.label}"
+    # relabel a copy: the built map may be cited by reference
+    out = copy.copy(out)
+    object.__setattr__(out, "label", f"{target} := {out.label}")
     return out
 
 

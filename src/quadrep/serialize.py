@@ -125,12 +125,11 @@ def document_to_map(doc: dict) -> PolyMap:
                     raise DocumentError(f"duplicate monomial {mono}")
                 terms[mono] = coeff
             components.append(Polynomial(m, terms))
-        pmap = PolyMap(m=m, r=r, components=components, label=label, order=order)
         certs = doc.get("certificates", [])
         if not isinstance(certs, list):
             raise DocumentError("certificates must be a list")
-        pmap.document_certificates = [_certificate(c) for c in certs]
-        return pmap
+        certificates = [_certificate(c) for c in certs]
+        return PolyMap(m, r, components, label=label, order=order, document_certificates=certificates)
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

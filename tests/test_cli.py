@@ -197,3 +197,75 @@ def test_verify_rejects_inexact_document_fields(tmp_path, capsys, mutate):
     code, report, err = run(capsys, "verify", path, "--mode", "exact")
     assert code == 2 and report is None
     assert err.startswith("quadrep:") and "Traceback" not in err
+
+
+def _with_order(tmp_path, capsys, target, order):
+    path = str(tmp_path / "claim.json")
+    run(capsys, "generate", target, "-o", path)
+    doc = json.loads(open(path).read())
+    doc["order"] = order
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+@pytest.mark.parametrize("order", [7200, 10**9])
+def test_verify_refutes_order_above_degree_bound(tmp_path, capsys, mode, order):
+    path = _with_order(tmp_path, capsys, "pi_n:1,5", order)
+    code, report, err = run(capsys, "verify", path, "--mode", mode)
+    assert code == 3 and "Traceback" not in err
+    (check,) = report["checks"]
+    assert check["verdict"] == "fail" and check["method"] == "exact-evaluation"
+    assert check["witness"] == f"deg q(f) <= 10 < {2 * order} = deg q^{order}"
+
+
+def test_verify_order_at_degree_bound_runs_refutation_scan(tmp_path, capsys):
+    # pi_np1:3 has degree 4 and order 3: a claim of 4 is not ruled out by degree
+    path = _with_order(tmp_path, capsys, "pi_np1:3", 4)
+    code, report, _ = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 3
+    assert report["checks"][0]["witness"].startswith("q(f(p)) - q(p)^4 = ")
+
+
+def test_lineage_verify_cites_the_rebuilt_certificate(tmp_path, capsys, monkeypatch):
+    from quadrep import cli, maps
+
+    path = str(tmp_path / "lineage.json")
+    run(capsys, "generate", "pi3_s2:7", "-o", path)
+    calls = []
+    real = maps.certify_order
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "certify_order", counted)
+    monkeypatch.setattr(cli, "certify_order", counted)
+    code, report, _ = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 0
+    assert report["checks"][0]["method"] == "factored-expansion"
+    # the document (infeasible to expand), then the rebuild's Hopf pair (2),
+    # circle pair (2), suspension and composition; the rebuild is not re-proved
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["invariants", "{doc}", "--check", "degree", "--grid=-4x3"], id="negative-grid"),
+        pytest.param(["invariants", "{doc}", "--check", "degree", "--grid", "0x0"], id="zero-grid"),
+        pytest.param(["verify", "{doc}", "--mode", "sampled", "--samples", "0"], id="zero-samples"),
+        pytest.param(["invariants", "{doc}", "--check", "hemisphere", "--samples", "0"], id="zero-hemisphere-samples"),
+        pytest.param(["verify", "{doc}", "--mode", "sampled", "--samples", "-5"], id="negative-samples"),
+        pytest.param(["verify", "{doc}", "--mode", "sampled", "--seed", "-1"], id="negative-seed"),
+    ],
+)
+def test_out_of_range_counts_rejected(tmp_path, capsys, argv):
+    path = str(tmp_path / "d3.json")
+    run(capsys, "generate", "pi_n:2,3", "-o", path)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(doc=path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err

@@ -1,5 +1,7 @@
 """Map algebra: pairings, order certification, suspension, composition, catalog."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,7 @@ from quadrep.maps import (
 
 def identity_map(m):
     comps = [Polynomial.variable(m, i) for i in range(m)]
-    pm = PolyMap.explicit(comps, f"id({m})", order=1)
-    pm.certificate = certify_order(pm, 1)
-    return pm
+    return maps._certified(PolyMap.explicit(comps, f"id({m})", order=1), "identity")
 
 
 def corrupt(pmap, comp_idx=0, delta=1):
@@ -84,7 +84,10 @@ def test_hopf_wrong_order_fails_with_witness():
     f, _ = hopf_pair()
     cert = certify_order(f, 3)
     assert not cert.verdict
-    assert cert.witness is not None
+    # order 3 exceeds the degree bound 2, so q^3 is never formed
+    assert cert.method == "exact-evaluation"
+    assert cert.detail == {"stage": "degree bound"}
+    assert cert.witness == "deg q(f) <= 4 < 6 = deg q^3"
 
 
 def test_circle_pair_small_cases():
@@ -343,6 +346,40 @@ def test_catalog_proves_each_node_once(monkeypatch):
     assert len(expanded) == 9
 
 
+def test_certify_order_leaves_map_unchanged():
+    f, _ = hopf_pair()
+    raw = PolyMap.explicit(list(f.components), "raw", order=2)
+    for method in ("auto", "expansion", "grid"):
+        assert certify_order(raw, 2, method=method).verdict
+        assert raw.certificate is None
+
+
+def test_maps_and_certificates_are_frozen():
+    pm = catalog("pi_np1:3")
+    for name, value in [
+        ("certificate", Certificate(3, "full-expansion", True)),
+        ("label", "forged"),
+        ("order", 5),
+        ("components", None),
+    ]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pm, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pm.certificate.verdict = False
+    assert pm.certificate.verdict and pm.order == 3
+
+
+@pytest.mark.parametrize("target", ["pi_n:1,2", "pi_n:2,0", "pi_np1:3", "pi3_s2:2"])
+def test_catalog_carries_builder_certificate(monkeypatch, target):
+    built = _count_calls(monkeypatch, "_certified")
+    out = catalog(target)
+    (source,) = [pm for pm in built if pm.certificate is out.certificate]
+    assert out is not source
+    assert out.label == f"{target} := {source.label}"
+    assert not source.label.startswith(target)
+    assert out.components is source.components and out.node is source.node
+
+
 _CHILD_RULES = {
     "suspension": (
         3,
@@ -383,7 +420,9 @@ def _node_with_child(rule, sound, stored):
     comps = list(f.components)
     if not sound:
         comps[0] = comps[0] + Polynomial.variable(4, 1) * Polynomial.variable(4, 2)
-    child = PolyMap.explicit(comps, "child", order=2, certificate=stored)
+    child = PolyMap.explicit(comps, "child", order=2)
+    # maps are frozen; only a test injects a stored certificate this way
+    object.__setattr__(child, "certificate", stored)
     if rule == "suspension":
         return SuspensionNode(child, g, suspension_triple(2), 1), child
     return CompositionNode(child, suspend(f, g, 1)), child
@@ -425,7 +464,7 @@ def test_uncitable_child_certificate_is_proved(monkeypatch, rule, sound, stored)
 @pytest.mark.parametrize("rule", sorted(_CHILD_RULES))
 def test_passing_child_certificate_is_cited(monkeypatch, rule):
     node, child = _node_with_child(rule, True, None)
-    child.certificate = certify_order(child, 2)
+    object.__setattr__(child, "certificate", certify_order(child, 2))
     proved = _count_calls(monkeypatch, "_expansion_cert")
     k, passing, _ = _CHILD_RULES[rule]
     assert _factored_cert(node, k).summary() == passing

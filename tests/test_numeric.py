@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadrep import maps
 from quadrep.coefficients import SuspensionTriple
 from quadrep.exact import Polynomial
 from quadrep.maps import (
@@ -11,7 +12,6 @@ from quadrep.maps import (
     SuspensionNode,
     blend_homotopy,
     catalog,
-    certify_order,
     circle_pair,
     compose_maps,
     hopf_pair,
@@ -39,9 +39,7 @@ from quadrep.numeric import (
 
 def identity_map(m):
     comps = [Polynomial.variable(m, i) for i in range(m)]
-    pm = PolyMap.explicit(comps, f"id({m})", order=1)
-    pm.certificate = certify_order(pm, 1)
-    return pm
+    return maps._certified(PolyMap.explicit(comps, f"id({m})", order=1), "identity")
 
 
 # ----------------------------------------------------------------- sampling
@@ -276,12 +274,14 @@ def test_hopf_invariant_rotation_invariance():
     base = hopf_invariant(f, seed=0).value
     c, s = Fraction(3, 5), Fraction(4, 5)
     zs = [Polynomial.variable(4, i) for i in range(4)]
-    rot = PolyMap.explicit(
-        [zs[0].scale(c) - zs[1].scale(s), zs[0].scale(s) + zs[1].scale(c), zs[2], zs[3]],
+    rot = maps._certified(
+        PolyMap.explicit(
+            [zs[0].scale(c) - zs[1].scale(s), zs[0].scale(s) + zs[1].scale(c), zs[2], zs[3]],
+            "rotation",
+            order=1,
+        ),
         "rotation",
-        order=1,
     )
-    rot.certificate = certify_order(rot, 1)
     fr = compose_maps(f, rot)
     assert hopf_invariant(fr, seed=1).value == base
 
