@@ -68,14 +68,12 @@ def series_pair(ell: int) -> tuple[Polynomial, Polynomial]:
     """
     series = inverse_sqrt_series(ell)
     numerator = (Polynomial.variable(1, 0) - 1) * series.square() + 1
-    cofactor_terms = {}
-    for (e,), coeff in numerator.terms.items():
+    for (e,), coeff in numerator:
         if e < ell + 1:
             raise TripleConstructionError(
                 f"remainder term t^{e} with coefficient {coeff} in the cofactor division (ell={ell})"
             )
-        cofactor_terms[(e - ell - 1,)] = coeff
-    cofactor = Polynomial(1, cofactor_terms)
+    cofactor = Polynomial(1, {(e - ell - 1,): coeff for (e,), coeff in numerator})
     if cofactor.degree() != ell:
         raise TripleConstructionError(f"cofactor degree {cofactor.degree()} != {ell}")
     return series, cofactor
@@ -86,12 +84,9 @@ def _homogenize(p: Polynomial, degree: int) -> Polynomial:
 
     t^j goes to s^(degree-j) t^j, i.e. the result is s^degree * p(t/s).
     """
-    terms = {}
-    for (j,), coeff in p.terms.items():
-        if j > degree:
-            raise ValueError("homogenization degree below the polynomial degree")
-        terms[(degree - j, j)] = coeff
-    return Polynomial(2, terms)
+    if p.degree() > degree:
+        raise ValueError("homogenization degree below the polynomial degree")
+    return Polynomial(2, {(degree - j, j): coeff for (j,), coeff in p})
 
 
 def suspension_triple(k: int) -> SuspensionTriple:

@@ -1,20 +1,29 @@
 """Exact arithmetic over Q(i) and sparse multivariate polynomials.
 
-Coefficients are Gaussian rationals (rational real and imaginary parts,
-stdlib ``Fraction`` underneath), so every identity check in this package is
-a genuine zero test, never a tolerance comparison.
+Coefficients are Gaussian rationals, so every identity check in this package
+is a genuine zero test, never a tolerance comparison.
 
 A monomial is an exponent tuple, one nonnegative integer per variable.  A
-polynomial is a dict from exponent tuples to nonzero ``GaussianRational``
-coefficients; the zero polynomial has an empty dict.  The canonical term
-order used for printing, serialization and floating evaluation is graded
-lexicographic, descending (highest total degree first).
+polynomial stores one immutable integer form, known only to this module: a
+map from packed monomial keys to Gaussian-integer numerator pairs (re, im)
+over one common denominator den > 0, with gcd(den, every numerator) == 1.
+A key packs the fields (total degree, e_0, ..., e_{n-1}), total degree
+highest, so integer order of keys is the canonical term order, graded
+lexicographic (highest total degree first), and the key of a product of
+monomials is the sum of their keys.  The field width is a pure function of
+the total degree, so equal polynomials have equal keys, and equality and
+hashing compare (nvars, den, keys -> numerators).  Exponent tuples and
+``GaussianRational`` values appear only at the boundary: the read-only
+``terms`` view, ``sorted_terms``, iteration and printing.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -165,124 +174,183 @@ class GaussianRational:
         return cls._raw(Fraction(text), _FRACTION_ZERO)
 
 
-GR_ONE = GaussianRational._raw(_FRACTION_ONE, _FRACTION_ZERO)
 GR_I = GaussianRational._raw(_FRACTION_ZERO, _FRACTION_ONE)
 
 
-def _grlex_key(mono: Monomial):
-    return (sum(mono), mono)
+# ---------------------------------------------------------------- packed form
+
+
+def _width(degree: int) -> int:
+    """Bits per key field at this total degree: whole bytes, enough for the
+    degree and so for every exponent."""
+    return 8 * ((max(degree, 1).bit_length() + 7) // 8)
+
+
+def _key(mono: Monomial, width: int) -> int:
+    key = sum(mono)
+    for e in mono:
+        key = (key << width) | e
+    return key
+
+
+def _monomial(key: int, width: int, nvars: int) -> Monomial:
+    size = width // 8
+    raw = key.to_bytes(size * (nvars + 1), "big")[size:]
+    if size == 1:  # one byte per field: the bytes are the exponents
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i : i + size], "big") for i in range(0, len(raw), size))
+
+
+def _rekey(terms, old: int, new: int, nvars: int) -> dict:
+    return {_key(_monomial(k, old, nvars), new): v for k, v in terms.items()}
+
+
+def _pair(value: GaussianRational) -> tuple[int, int, int]:
+    """(re, im, den) with value = (re + im*i) / den over the least den."""
+    re, im = value.re, value.im
+    den = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def _fraction_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class Polynomial:
     """Sparse multivariate polynomial over the Gaussian rationals.
 
-    Immutable once built; all operations return new instances.  Stored
-    coefficients are never zero and monomial keys are unique, so equality
-    of the term dicts is equality of polynomials.
+    Immutable; all operations return new instances.  The stored form is the
+    packed one of the module docstring; ``terms`` is a read-only view of it
+    with exponent tuples as keys and ``GaussianRational`` values.
     """
 
-    __slots__ = ("nvars", "terms", "_sorted", "_evaluator")
+    __slots__ = ("nvars", "_den", "_num", "_degree", "_evaluator")
 
-    def __init__(self, nvars: int, terms: dict[Monomial, GaussianRational] | None = None):
+    def __new__(cls, nvars: int, terms: dict[Monomial, GaussianRational] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        self.nvars = nvars
-        clean: dict[Monomial, GaussianRational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = GaussianRational.coerce(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(mono) != nvars:
-                    raise ValueError(f"monomial {mono} has wrong arity for {nvars} variables")
-                clean[tuple(mono)] = coeff
-        self.terms = clean
-        self._sorted = None
-        self._evaluator = None
+        clean = {}
+        for mono, coeff in (terms or {}).items():
+            coeff = GaussianRational.coerce(coeff)
+            if coeff.is_zero():
+                continue
+            mono = tuple(map(operator.index, mono))
+            if len(mono) != nvars or min(mono, default=0) < 0:
+                raise ValueError(f"monomial {mono} is not an exponent vector in {nvars} variables")
+            clean[mono] = _pair(coeff)
+        den = math.lcm(*(d for _, _, d in clean.values()))
+        width = _width(max(map(sum, clean), default=0))
+        packed = {_key(m, width): (re * (den // d), im * (den // d)) for m, (re, im, d) in clean.items()}
+        return cls._build(nvars, den, packed, width)
+
+    def __reduce__(self):
+        # pickle and copy go through the constructor: a mapping proxy cannot be pickled
+        return Polynomial, (self.nvars, dict(self.terms))
 
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Monomial, GaussianRational]) -> "Polynomial":
+    def _build(cls, nvars: int, den: int, terms: dict, width: int) -> "Polynomial":
+        """Nonzero numerator pairs over ``den``, keyed at ``width``, stored in
+        canonical form: den reduced, keys at the width of the degree."""
+        g = math.gcd(den, *(c for pair in terms.values() for c in pair)) if den != 1 else 1
+        if g != 1:
+            terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+            den //= g
+        degree = max(terms) >> (nvars * width) if terms else -1
+        if _width(degree) != width:
+            terms = _rekey(terms, width, _width(degree), nvars)
         out = object.__new__(cls)
-        out.nvars = nvars
-        out.terms = terms
-        out._sorted = None
+        out.nvars, out._den, out._num, out._degree = nvars, den, MappingProxyType(terms), degree
         out._evaluator = None
         return out
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls._raw(nvars, {})
+        return cls._build(nvars, 1, {}, _width(0))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        coeff = GaussianRational.coerce(value)
-        if coeff.is_zero():
-            return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: coeff})
+        re, im, den = _pair(GaussianRational.coerce(value))
+        return cls._build(nvars, den, {0: (re, im)} if re or im else {}, _width(0))
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls._raw(nvars, {tuple(exps): GR_ONE})
+        mono = tuple(int(i == index) for i in range(nvars))
+        return cls._build(nvars, 1, {_key(mono, _width(1)): (1, 0)}, _width(1))
+
+    def _at(self, width: int):
+        """The numerator map keyed at ``width``, repacked only if it differs."""
+        own = _width(self._degree)
+        return self._num if own == width else _rekey(self._num, own, width, self.nvars)
+
+    def _mono(self, key: int) -> Monomial:
+        return _monomial(key, _width(self._degree), self.nvars)
+
+    def _coeff(self, pair: tuple[int, int]) -> GaussianRational:
+        return GaussianRational._raw(Fraction(pair[0], self._den), Fraction(pair[1], self._den))
 
     # ------------------------------------------------------------ structure
 
+    @property
+    def terms(self) -> Mapping[Monomial, GaussianRational]:
+        """Read-only view: exponent tuple -> nonzero coefficient."""
+        return _Terms(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(mono) for mono in self.terms)
+        return self._degree
 
     def per_variable_degrees(self) -> tuple[int, ...]:
         """Max exponent of each variable across all terms (zeros if empty)."""
-        degs = [0] * self.nvars
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e > degs[i]:
-                    degs[i] = e
-        return tuple(degs)
+        monos = [self._mono(k) for k in self._num]
+        return tuple(map(max, zip(*monos))) if monos else (0,) * self.nvars
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in canonical order: graded lexicographic, descending."""
-        if self._sorted is None:
-            self._sorted = sorted(
-                self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True
-            )
-        return self._sorted
+        width, n = _width(self._degree), self.nvars
+        return [(_monomial(k, width, n), self._coeff(pair)) for k, pair in sorted(self._num.items(), reverse=True)]
+
+    def term_texts(self) -> list[tuple[Monomial, str, str]]:
+        """``sorted_terms`` with each coefficient as ``str(c.re)``, ``str(c.im)``."""
+        width, n, den = _width(self._degree), self.nvars, self._den
+        return [
+            (_monomial(k, width, n), _fraction_text(re, den), _fraction_text(im, den) if im else "0")
+            for k, (re, im) in sorted(self._num.items(), reverse=True)
+        ]
 
     def __iter__(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return iter(self.sorted_terms())
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
+        return not any(im for _, im in self._num.values())
 
     def leading_term(self) -> tuple[Monomial, GaussianRational]:
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_grlex_key)
-        return mono, self.terms[mono]
+        key = max(self._num)
+        return self._mono(key), self._coeff(self._num[key])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.nvars, frozenset((m, c.re, c.im) for m, c in self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     # ----------------------------------------------------------- arithmetic
 
@@ -294,23 +362,22 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self + Polynomial.constant(self.nvars, other)
         self._check_arity(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            cur = out.get(mono)
-            if cur is None:
-                out[mono] = coeff
-            else:
-                s = cur + coeff
-                if s.is_zero():
-                    del out[mono]
-                else:
-                    out[mono] = s
-        return Polynomial._raw(self.nvars, out)
+        width = _width(max(self._degree, other._degree))
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        out = {k: (re * sa, im * sa) for k, (re, im) in self._at(width).items()}
+        for k, (re, im) in other._at(width).items():
+            cr, ci = out.pop(k, (0, 0))
+            cr, ci = cr + re * sb, ci + im * sb
+            if cr or ci:
+                out[k] = (cr, ci)
+        return Polynomial._build(self.nvars, den, out, width)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.nvars, {m: -c for m, c in self.terms.items()})
+        terms = {k: (-re, -im) for k, (re, im) in self._num.items()}
+        return Polynomial._build(self.nvars, self._den, terms, _width(self._degree))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -320,11 +387,17 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
+    def conjugate(self) -> "Polynomial":
+        """The polynomial with every coefficient conjugated."""
+        terms = {k: (re, -im) for k, (re, im) in self._num.items()}
+        return Polynomial._build(self.nvars, self._den, terms, _width(self._degree))
+
     def scale(self, value) -> "Polynomial":
-        coeff = GaussianRational.coerce(value)
-        if coeff.is_zero():
+        cr, ci, cd = _pair(GaussianRational.coerce(value))
+        if not cr and not ci:
             return Polynomial.zero(self.nvars)
-        return Polynomial._raw(self.nvars, {m: c * coeff for m, c in self.terms.items()})
+        terms = {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self._num.items()}
+        return Polynomial._build(self.nvars, self._den * cd, terms, _width(self._degree))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -367,7 +440,7 @@ class Polynomial:
             raise ValueError(f"arity mismatch: polynomial has {self.nvars} variables, got {len(args)} arguments")
         if not args:
             # constant in zero variables composed with nothing stays itself
-            return Polynomial._raw(0, dict(self.terms))
+            return self
         n2 = args[0].nvars
         for a in args:
             if a.nvars != n2:
@@ -375,9 +448,9 @@ class Polynomial:
         # powers[i][e] is args[i]**e, filled upwards by one multiplication each
         powers = [[Polynomial.constant(n2, 1), a] for a in args]
         total = Polynomial.zero(n2)
-        for mono, coeff in self.terms.items():
-            piece = Polynomial.constant(n2, coeff)
-            for i, e in enumerate(mono):
+        for key, pair in self._num.items():
+            piece = Polynomial._build(n2, self._den, {0: pair}, _width(0))
+            for i, e in enumerate(self._mono(key)):
                 if e:
                     row = powers[i]
                     while len(row) <= e:
@@ -392,20 +465,24 @@ class Polynomial:
             raise ValueError("cannot shrink the variable set")
         if nvars == self.nvars:
             return self
-        pad = (0,) * (nvars - self.nvars)
-        return Polynomial._raw(nvars, {m + pad: c for m, c in self.terms.items()})
+        width = _width(self._degree)
+        shift = width * (nvars - self.nvars)
+        return Polynomial._build(nvars, self._den, {k << shift: v for k, v in self._num.items()}, width)
 
     def derivative(self, index: int) -> "Polynomial":
         if not 0 <= index < self.nvars:
             raise ValueError("derivative variable out of range")
-        out: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
+        width = _width(self._degree)
+        at = width * (self.nvars - 1 - index)
+        # one less in the exponent field and in the total-degree field
+        step = (1 << (width * self.nvars)) + (1 << at)
+        mask = (1 << width) - 1
+        out = {}
+        for key, (re, im) in self._num.items():
+            e = (key >> at) & mask
             if e:
-                new = list(mono)
-                new[index] = e - 1
-                out[tuple(new)] = coeff * e
-        return Polynomial._raw(self.nvars, out)
+                out[key - step] = (re * e, im * e)
+        return Polynomial._build(self.nvars, self._den, out, width)
 
     # ----------------------------------------------------------- evaluation
 
@@ -430,10 +507,10 @@ class Polynomial:
     # ------------------------------------------------------------- printing
 
     def __repr__(self):
-        return f"Polynomial(nvars={self.nvars}, terms={len(self.terms)})"
+        return f"Polynomial(nvars={self.nvars}, terms={len(self)})"
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         pieces = []
         for mono, coeff in self.sorted_terms():
@@ -449,15 +526,41 @@ class Polynomial:
         return " + ".join(pieces)
 
 
+class _Terms(Mapping):
+    """A polynomial's terms, exponent tuple -> ``GaussianRational``, decoded
+    from the packed form on access; read-only."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Polynomial):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(self._poly._mono, self._poly._num)
+
+    def __getitem__(self, mono: Monomial) -> GaussianRational:
+        p = self._poly
+        # exponents that fit the key fields cannot alias another monomial
+        if len(mono) == p.nvars and min(mono, default=0) >= 0 and sum(mono) <= p._degree:
+            pair = p._num.get(_key(mono, _width(p._degree)))
+            if pair is not None:
+                return p._coeff(pair)
+        raise KeyError(mono)
+
+
 # ---------------------------------------------------------------- evaluation
 #
 # Every evaluation in the package goes through one compiled form: a list of
 # polynomials in one variable set becomes the union of their monomials (an
 # exponent matrix) and a coefficient table.  The batch backend gathers the
 # monomials of a block of terms from per-variable power tables and multiplies
-# them by the coefficient matrix.  The exact backend clears all denominators
-# first, so its inner loop is Python int arithmetic on Gaussian-integer
-# numerators and Fractions appear only in the final values.
+# them by the coefficient matrix.  The exact backend works on the stored
+# Gaussian-integer numerators, brought over one denominator for the whole
+# list, so its inner loop is Python int arithmetic and Fractions appear only
+# in the final values.
 
 _TERM_BLOCK = 128  # monomials gathered per matrix product
 _ROW_BLOCK = 4096  # points per power table; with _TERM_BLOCK it bounds memory
@@ -480,7 +583,7 @@ class Evaluator:
         if any(p.nvars != nvars for p in polys):
             raise ValueError("compiled polynomials must share a variable count")
         self.nvars = nvars
-        self.polys = list(polys)
+        self.polys = tuple(polys)
         self._batch = None
         self._exact = None
 
@@ -488,24 +591,27 @@ class Evaluator:
 
     def _batch_tables(self):
         if self._batch is None:
-            monos = sorted(
-                {mono for p in self.polys for mono in p.terms}, key=_grlex_key, reverse=True
-            )
-            row_of = {mono: t for t, mono in enumerate(monos)}
-            coeffs = np.zeros((len(monos), len(self.polys)), dtype=complex)
-            for j, p in enumerate(self.polys):
-                for mono, c in p.terms.items():
-                    coeffs[row_of[mono], j] = complex(c)
-            exps = np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
-            width = int(exps.max(initial=0)) + 1
+            width = _width(max(p._degree for p in self.polys))
+            keyed = [p._at(width) for p in self.polys]
+            keys = sorted(set().union(*keyed), reverse=True)  # canonical order
+            row_of = {key: t for t, key in enumerate(keys)}
+            coeffs = np.zeros((len(keys), len(self.polys)), dtype=complex)
+            for j, (p, num) in enumerate(zip(self.polys, keyed)):
+                for key, (re, im) in num.items():
+                    # int true division: the float of the exact rational
+                    coeffs[row_of[key], j] = complex(re / p._den, im / p._den)
+            exps = np.array(
+                [_monomial(key, width, self.nvars) for key in keys], dtype=np.intp
+            ).reshape(len(keys), self.nvars)
+            top = int(exps.max(initial=0)) + 1
             # row of z_i**e in the flattened power table
-            at = exps + width * np.arange(self.nvars)
+            at = exps + top * np.arange(self.nvars)
             blocks = []
-            for t0 in range(0, len(monos), _TERM_BLOCK):
+            for t0 in range(0, len(keys), _TERM_BLOCK):
                 sl = slice(t0, t0 + _TERM_BLOCK)
                 active = [at[sl, i] for i in range(self.nvars) if exps[sl, i].any()]
                 blocks.append((active, np.ascontiguousarray(coeffs[sl].T)))
-            self._batch = (width, blocks)
+            self._batch = (top, blocks)
         return self._batch
 
     def eval_batch(self, points) -> np.ndarray:
@@ -515,15 +621,15 @@ class Evaluator:
             Z = Z[None, :]
         if Z.shape[1] != self.nvars:
             raise ValueError("point array width must match the variable count")
-        width, blocks = self._batch_tables()
+        top, blocks = self._batch_tables()
         # points run along the last axis, so a gathered power is a contiguous row
         out = np.zeros((len(self.polys), Z.shape[0]), dtype=complex)
         for r0 in range(0, Z.shape[0], _ROW_BLOCK):
             zt = Z[r0 : r0 + _ROW_BLOCK].T
             n = zt.shape[1]
             # powers[i, e] = z_i**e, each power one multiplication from the last
-            powers = np.ones((self.nvars, width, n), dtype=complex)
-            for e in range(1, width):
+            powers = np.ones((self.nvars, top, n), dtype=complex)
+            for e in range(1, top):
                 np.multiply(powers[:, e - 1], zt, out=powers[:, e])
             table = powers.reshape(-1, n)
             acc = out[:, r0 : r0 + n]
@@ -542,12 +648,8 @@ class Evaluator:
     def _exact_tables(self):
         if self._exact is None:
             nvars = self.nvars
-            den = 1
-            dmax = 0
-            for p in self.polys:
-                for mono, c in p.terms.items():
-                    den = math.lcm(den, c.re.denominator, c.im.denominator)
-                    dmax = max(dmax, sum(mono))
+            den = math.lcm(*(p._den for p in self.polys))
+            dmax = max(0, *(p._degree for p in self.polys))
             # Each monomial value is built as a chain of products along its
             # nonzero factors, shared between monomials with a common prefix.
             # The last link multiplies by D**(dmax - degree), with variable
@@ -578,15 +680,16 @@ class Evaluator:
                 return at
 
             rows = [
-                [
-                    (node(mono), c.re.numerator * (den // c.re.denominator),
-                     c.im.numerator * (den // c.im.denominator))
-                    for mono, c in p.terms.items()
-                ]
+                [(node(p._mono(k)), re * (den // p._den), im * (den // p._den)) for k, (re, im) in p._num.items()]
                 for p in self.polys
             ]
             self._exact = (steps, rows, maxexp, den, dmax)
         return self._exact
+
+    def power_cost(self) -> int:
+        """Room the power tables of one ``numerators`` call take, in units
+        of one coordinate: the powers a**0 .. a**E of a take E*(E+1)/2."""
+        return sum(e * (e + 1) // 2 for e in self._exact_tables()[2])
 
     def numerators(self, coords: Sequence[tuple[int, int]], denominator: int):
         """Exact values at the point (a_i + b_i*i) / denominator, in ints.
@@ -623,79 +726,26 @@ class Evaluator:
         """Exact values of every polynomial at a Gaussian-rational point."""
         if len(point) != self.nvars:
             raise ValueError("point length must match the variable count")
-        point = [GaussianRational.coerce(v) for v in point]
-        common = 1
-        for v in point:
-            common = math.lcm(common, v.re.denominator, v.im.denominator)
-        coords = [
-            (v.re.numerator * (common // v.re.denominator), v.im.numerator * (common // v.im.denominator))
-            for v in point
-        ]
+        pairs = [_pair(GaussianRational.coerce(v)) for v in point]
+        common = math.lcm(*(d for _, _, d in pairs))
+        coords = [(re * (common // d), im * (common // d)) for re, im, d in pairs]
         nums, scale = self.numerators(coords, common)
         return [GaussianRational._raw(Fraction(re, scale), Fraction(im, scale)) for re, im in nums]
 
 
 # ------------------------------------------------------------ multiplication
 #
-# Hot path used by every construction in the package.  Both operands are
-# flattened to integer coefficient pairs over a common denominator and the
-# exponent tuples are packed into single integers, so the inner loop is all
-# native bigint arithmetic; Fractions reappear only when the accumulator is
-# converted back.
-
-
-def _int_form(p: Polynomial):
-    den = 1
-    for c in p.terms.values():
-        den = den * c.re.denominator // math.gcd(den, c.re.denominator)
-        if c.im:
-            den = den * c.im.denominator // math.gcd(den, c.im.denominator)
-    items = []
-    has_im = False
-    for mono, c in p.terms.items():
-        re_i = c.re.numerator * (den // c.re.denominator)
-        im_i = c.im.numerator * (den // c.im.denominator)
-        if im_i:
-            has_im = True
-        items.append((mono, re_i, im_i))
-    return den, items, has_im
-
-
-def _pack_shift(a: Polynomial, b: Polynomial) -> int:
-    da = max(a.per_variable_degrees(), default=0) if a.terms else 0
-    db = max(b.per_variable_degrees(), default=0) if b.terms else 0
-    return max((da + db + 1).bit_length(), 1)
-
-
-def _pack(mono: Monomial, shift: int) -> int:
-    key = 0
-    for e in reversed(mono):
-        key = (key << shift) | e
-    return key
-
-
-def _unpack(key: int, shift: int, nvars: int) -> Monomial:
-    mask = (1 << shift) - 1
-    out = []
-    for _ in range(nvars):
-        out.append(key & mask)
-        key >>= shift
-    return tuple(out)
-
-
-def _finish(acc: dict[int, list], den: int, shift: int, nvars: int) -> Polynomial:
-    terms: dict[Monomial, GaussianRational] = {}
-    for key, (cr, ci) in acc.items():
-        if not cr and not ci:
-            continue
-        coeff = GaussianRational._raw(Fraction(cr, den), Fraction(ci, den))
-        terms[_unpack(key, shift, nvars)] = coeff
-    return Polynomial._raw(nvars, terms)
+# Hot path used by every construction in the package.  The operands are
+# already in packed integer form: a product adds keys and multiplies
+# Gaussian-integer numerators, and its denominator is the product of theirs.
+# The result's field width holds the sum of the operands' degrees, which
+# bounds every field of every key sum, so no sum carries from one field into
+# the next; an operand packed narrower is widened once before the loop.
 
 
 def mul_cost(a: Polynomial, b: Polynomial) -> int:
     """Number of coefficient products a full a*b expansion performs."""
-    return len(a.terms) * len(b.terms)
+    return len(a) * len(b)
 
 
 def charged_mul(a: Polynomial, b: Polynomial, budget) -> Polynomial:
@@ -706,72 +756,45 @@ def charged_mul(a: Polynomial, b: Polynomial, budget) -> Polynomial:
 
 
 def _mul_poly(a: Polynomial, b: Polynomial) -> Polynomial:
-    if not a.terms or not b.terms:
+    if not a._num or not b._num:
         return Polynomial.zero(a.nvars)
-    if len(a.terms) > len(b.terms):
+    if len(a) > len(b):
         a, b = b, a
-    shift = _pack_shift(a, b)
-    den_a, items_a, im_a = _int_form(a)
-    den_b, items_b, im_b = _int_form(b)
-    packed_b = [(_pack(m, shift), re, im) for m, re, im in items_b]
+    width = _width(a._degree + b._degree)
+    items = [(k, re, im) for k, (re, im) in b._at(width).items()]
     acc: dict[int, list] = {}
-    get = acc.get
-    if im_a or im_b:
-        for mono_a, ra, ia in items_a:
-            ka = _pack(mono_a, shift)
-            for kb, rb, ib in packed_b:
-                k = ka + kb
-                cr = ra * rb - ia * ib
-                ci = ra * ib + ia * rb
-                cell = get(k)
-                if cell is None:
-                    acc[k] = [cr, ci]
-                else:
-                    cell[0] += cr
-                    cell[1] += ci
-    else:
-        for mono_a, ra, _ in items_a:
-            ka = _pack(mono_a, shift)
-            for kb, rb, _ in packed_b:
-                k = ka + kb
-                cr = ra * rb
-                cell = get(k)
-                if cell is None:
-                    acc[k] = [cr, 0]
-                else:
-                    cell[0] += cr
-    return _finish(acc, den_a * den_b, shift, a.nvars)
+    for ka, (ra, ia) in a._at(width).items():
+        _accumulate(acc, ka, ra, ia, items)
+    return _collect(a.nvars, a._den * b._den, acc, width)
 
 
 def _square_poly(p: Polynomial) -> Polynomial:
-    if not p.terms:
+    if not p._num:
         return p
-    shift = _pack_shift(p, p)
-    den, items, has_im = _int_form(p)
-    packed = [(_pack(m, shift), re, im) for m, re, im in items]
+    width = _width(2 * p._degree)
+    items = [(k, re, im) for k, (re, im) in p._at(width).items()]
     acc: dict[int, list] = {}
+    for idx, (ka, ra, ia) in enumerate(items):
+        # each term once with itself, then twice with each later term
+        _accumulate(acc, ka, ra, ia, items[idx : idx + 1])
+        _accumulate(acc, ka, 2 * ra, 2 * ia, items[idx + 1 :])
+    return _collect(p.nvars, p._den * p._den, acc, width)
+
+
+def _accumulate(acc: dict, ka: int, ra: int, ia: int, items: list):
+    """Add the products of the term (ka, ra + ia*i) with each of ``items``."""
     get = acc.get
-    n = len(packed)
-    for idx in range(n):
-        ka, ra, ia = packed[idx]
-        k = ka + ka
-        cr = ra * ra - ia * ia
-        ci = 2 * ra * ia
+    for kb, rb, ib in items:
+        k = ka + kb
+        cr = ra * rb - ia * ib
+        ci = ra * ib + ia * rb
         cell = get(k)
         if cell is None:
             acc[k] = [cr, ci]
         else:
             cell[0] += cr
             cell[1] += ci
-        for jdx in range(idx + 1, n):
-            kb, rb, ib = packed[jdx]
-            k = ka + kb
-            cr = 2 * (ra * rb - ia * ib)
-            ci = 2 * (ra * ib + ia * rb)
-            cell = get(k)
-            if cell is None:
-                acc[k] = [cr, ci]
-            else:
-                cell[0] += cr
-                cell[1] += ci
-    return _finish(acc, den * den, shift, p.nvars)
+
+
+def _collect(nvars: int, den: int, acc: dict, width: int) -> Polynomial:
+    return Polynomial._build(nvars, den, {k: (re, im) for k, (re, im) in acc.items() if re or im}, width)

@@ -32,12 +32,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import GR_I, GR_ONE, Evaluator, GaussianRational, Polynomial, charged_mul
+from .exact import GR_I, Evaluator, GaussianRational, Polynomial, charged_mul
 
 # Product-count budget for a single full expansion, and point budget for the
 # grid zero test.  Both are deliberate ceilings: beyond them the factored
@@ -74,8 +75,13 @@ class Certificate:
     claimed_order: Optional[int]
     method: str               # full-expansion | factored-expansion | exact-evaluation
     verdict: bool
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = field(default_factory=dict)
     witness: Optional[str] = None
+
+    def __post_init__(self):
+        # read-only all the way down, so no verdict or summary changes later
+        detail = {k: tuple(v) if isinstance(v, list) else v for k, v in self.detail.items()}
+        object.__setattr__(self, "detail", MappingProxyType(detail))
 
     def summary(self) -> dict:
         out = {
@@ -84,7 +90,7 @@ class Certificate:
             "verdict": "pass" if self.verdict else "fail",
         }
         if self.detail:
-            out["detail"] = {k: v for k, v in self.detail.items()}
+            out["detail"] = {k: list(v) if isinstance(v, tuple) else v for k, v in self.detail.items()}
         if self.witness:
             out["witness"] = self.witness
         return out
@@ -112,12 +118,7 @@ def quadratic_form(m: int) -> Polynomial:
     """q(z) = z_1^2 + ... + z_m^2 in m variables."""
     if m < 1:
         raise ValueError("the quadratic form needs at least one variable")
-    terms = {}
-    for i in range(m):
-        mono = [0] * m
-        mono[i] = 2
-        terms[tuple(mono)] = GR_ONE
-    return Polynomial(m, terms)
+    return Polynomial(m, {tuple(2 * (j == i) for j in range(m)): 1 for i in range(m)})
 
 
 # ------------------------------------------------------------- structure
@@ -205,13 +206,13 @@ class PolyMap:
 
     m: int
     r: int
-    components: Optional[list[Polynomial]] = None
+    components: Optional[tuple[Polynomial, ...]] = None
     node: Optional[SuspensionNode | CompositionNode] = None
     label: str = ""
     order: Optional[int] = None
-    # raw certificate summaries carried by an imported document, kept so
-    # that export -> import -> export stays byte-identical
-    document_certificates: Optional[list[dict]] = None
+    # canonical JSON text of the certificate list an imported document
+    # carries, kept so that export -> import -> export stays byte-identical
+    document_certificates: Optional[str] = None
     certificate: Optional[Certificate] = field(default=None, init=False)
     _evaluator: Optional[Evaluator] = field(default=None, init=False)
     _degree_bound: Optional[int] = field(default=None, init=False)
@@ -220,6 +221,7 @@ class PolyMap:
         if self.components is None and self.node is None:
             raise ValueError("a PolyMap needs explicit components or a structure node")
         if self.components is not None:
+            object.__setattr__(self, "components", tuple(self.components))
             if len(self.components) != self.r:
                 raise DimensionMismatch("component count must equal the codomain dimension")
             for c in self.components:
@@ -231,16 +233,10 @@ class PolyMap:
         return f"PolyMap(m={self.m}, r={self.r}, order={self.order}, {state}, label={self.label!r})"
 
     @classmethod
-    def explicit(cls, components: list[Polynomial], label: str, order=None) -> "PolyMap":
+    def explicit(cls, components: Sequence[Polynomial], label: str, order=None) -> "PolyMap":
         if not components:
             raise ValueError("a map needs at least one component")
-        return cls(
-            m=components[0].nvars,
-            r=len(components),
-            components=list(components),
-            label=label,
-            order=order,
-        )
+        return cls(m=components[0].nvars, r=len(components), components=components, label=label, order=order)
 
     # ---------------------------------------------------------- evaluation
 
@@ -294,11 +290,6 @@ class PolyMap:
                 bound = self.node.max_degree_bound()
             object.__setattr__(self, "_degree_bound", bound)
         return self._degree_bound
-
-    def max_component_terms(self) -> Optional[int]:
-        if self.components is None:
-            return None
-        return max(len(c) for c in self.components)
 
     def jacobian(self) -> list[list[Polynomial]]:
         """Exact partial derivatives [r][m]; needs explicit components."""
@@ -374,8 +365,13 @@ def _difference_at(pmap: PolyMap, k: int, point: Sequence[GaussianRational]) -> 
     return qv - qz**k
 
 
-def _refute(pmap: PolyMap, k: int) -> Optional[str]:
-    for point in _refutation_points(pmap.m):
+def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[str]:
+    points = _refutation_points(pmap.m)
+    # only a fast disproof: skipped when the exact power tables of an
+    # explicit map without structure would outgrow the expansion budget
+    if pmap.node is None and len(points) * pmap.evaluator().power_cost() > budget:
+        return None
+    for point in points:
         diff = _difference_at(pmap, k, point)
         if not diff.is_zero():
             coords = ", ".join(v.canonical_str() for v in point)
@@ -395,20 +391,11 @@ def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
                 total = total + c.square()
             diff = total - quadratic_form(pmap.m) ** k
             if diff.is_zero():
-                return Certificate(
-                    claimed_order=k,
-                    method="full-expansion",
-                    verdict=True,
-                    detail={"difference_terms": 0, "expanded_products": budget.spent},
-                )
+                detail = {"difference_terms": 0, "expanded_products": budget.spent}
+                return Certificate(k, "full-expansion", True, detail)
             mono, coeff = diff.leading_term()
-            return Certificate(
-                claimed_order=k,
-                method="full-expansion",
-                verdict=False,
-                detail={"difference_terms": len(diff)},
-                witness=f"nonzero difference term {coeff.canonical_str()} * {mono}",
-            )
+            witness = f"nonzero difference term {coeff.canonical_str()} * {mono}"
+            return Certificate(k, "full-expansion", False, {"difference_terms": len(diff)}, witness)
     if isinstance(pmap.node, SuspensionNode):
         return _suspension_cert(pmap.node, k, budget)
     if isinstance(pmap.node, CompositionNode):
@@ -432,13 +419,8 @@ def _suspension_cert(node: SuspensionNode, k: int, budget: _Budget) -> Certifica
     if kc is None or node.g.order != kc:
         raise PreconditionError("suspension children must carry certified equal orders")
     if k != 2 * kc - 1:
-        return Certificate(
-            claimed_order=k,
-            method="factored-expansion",
-            verdict=False,
-            detail={"children_order": kc},
-            witness=f"suspension of order-{kc} maps has order {2 * kc - 1}, not {k}",
-        )
+        witness = f"suspension of order-{kc} maps has order {2 * kc - 1}, not {k}"
+        return Certificate(k, "factored-expansion", False, {"children_order": kc}, witness)
     cert_f = _child_cert(node.f, kc, budget)
     if not cert_f.verdict:
         return Certificate(k, "factored-expansion", False, {"failed": "first factor"}, cert_f.witness)
@@ -448,18 +430,11 @@ def _suspension_cert(node: SuspensionNode, k: int, budget: _Budget) -> Certifica
     pairing = bilinear_pairing(node.f, node.g, budget.limit - budget.spent)
     if not pairing.is_zero():
         mono, coeff = pairing.leading_term()
-        return Certificate(
-            k,
-            "factored-expansion",
-            False,
-            {"failed": "orthogonality"},
-            witness=f"b-pairing term {coeff.canonical_str()} * {mono}",
-        )
+        witness = f"b-pairing term {coeff.canonical_str()} * {mono}"
+        return Certificate(k, "factored-expansion", False, {"failed": "orthogonality"}, witness)
     triple_cert = verify_triple(node.triple)
     if not triple_cert.verdict or node.triple.order != kc:
-        return Certificate(
-            k, "factored-expansion", False, {"failed": "coefficient triple"}, triple_cert.witness
-        )
+        return Certificate(k, "factored-expansion", False, {"failed": "coefficient triple"}, triple_cert.witness)
     return Certificate(
         claimed_order=k,
         method="factored-expansion",
@@ -477,13 +452,8 @@ def _composition_cert(node: CompositionNode, k: int, budget: _Budget) -> Certifi
     if ko is None or ki is None:
         raise PreconditionError("composition children must carry certified orders")
     if k != ko * ki:
-        return Certificate(
-            claimed_order=k,
-            method="factored-expansion",
-            verdict=False,
-            detail={"outer_order": ko, "inner_order": ki},
-            witness=f"composition of orders {ko} and {ki} has order {ko * ki}, not {k}",
-        )
+        witness = f"composition of orders {ko} and {ki} has order {ko * ki}, not {k}"
+        return Certificate(k, "factored-expansion", False, {"outer_order": ko, "inner_order": ki}, witness)
     cert_o = _child_cert(node.outer, ko, budget)
     if not cert_o.verdict:
         return Certificate(k, "factored-expansion", False, {"failed": "outer"}, cert_o.witness)
@@ -503,7 +473,7 @@ def _composition_cert(node: CompositionNode, k: int, budget: _Budget) -> Certifi
     )
 
 
-def _grid_cert(pmap: PolyMap, k: int, grid_budget: int) -> Certificate:
+def _grid_cert(pmap: PolyMap, k: int, grid_budget: int, expansion_budget: int) -> Certificate:
     bounds = pmap.per_variable_bounds()
     diff_bounds = [max(2 * b, 2 * k) for b in bounds]
     npoints = 1
@@ -516,6 +486,8 @@ def _grid_cert(pmap: PolyMap, k: int, grid_budget: int) -> Certificate:
         )
     detail = {"grid_points": npoints, "per_variable_bounds": diff_bounds}
     evaluator = pmap.evaluator() if pmap.components is not None else None
+    if evaluator is not None and evaluator.power_cost() > expansion_budget:
+        raise InfeasibleError(f"grid zero test power tables exceed the expansion budget {expansion_budget}")
     for combo in itertools.product(*(range(b + 1) for b in diff_bounds)):
         if evaluator is not None:
             # integer point: the components are numerators over one scale, so
@@ -529,19 +501,9 @@ def _grid_cert(pmap: PolyMap, k: int, grid_budget: int) -> Certificate:
         if diff.is_zero():
             continue
         coords = ", ".join(str(c) for c in combo)
-        return Certificate(
-            claimed_order=k,
-            method="exact-evaluation",
-            verdict=False,
-            detail=detail,
-            witness=f"difference {diff.canonical_str()} at grid point ({coords})",
-        )
-    return Certificate(
-        claimed_order=k,
-        method="exact-evaluation",
-        verdict=True,
-        detail=detail,
-    )
+        witness = f"difference {diff.canonical_str()} at grid point ({coords})"
+        return Certificate(k, "exact-evaluation", False, detail, witness)
+    return Certificate(k, "exact-evaluation", True, detail)
 
 
 def certify_order(
@@ -567,22 +529,16 @@ def certify_order(
     if k > bound:
         witness = f"deg q(f) <= {2 * bound} < {2 * k} = deg q^{k}"
         return Certificate(k, "exact-evaluation", False, {"stage": "degree bound"}, witness)
-    witness = _refute(pmap, k)
+    witness = _refute(pmap, k, expansion_budget)
     if witness is not None:
-        return Certificate(
-            claimed_order=k,
-            method="exact-evaluation",
-            verdict=False,
-            detail={"stage": "refutation scan"},
-            witness=witness,
-        )
+        return Certificate(k, "exact-evaluation", False, {"stage": "refutation scan"}, witness)
     if method in ("auto", "expansion"):
         try:
             return _expansion_cert(pmap, k, _Budget(expansion_budget))
         except InfeasibleError:
             if method == "expansion":
                 raise
-    return _grid_cert(pmap, k, grid_budget)
+    return _grid_cert(pmap, k, grid_budget, expansion_budget)
 
 
 def _certified(pmap: PolyMap, what: str) -> PolyMap:
@@ -749,14 +705,9 @@ def circle_pair(d: int) -> tuple[PolyMap, PolyMap]:
     n = abs(d)
     w = Polynomial.variable(2, 0) + Polynomial.variable(2, 1).scale(GR_I)
     p = w**n
-    re_terms, im_terms = {}, {}
-    for mono, coeff in p.terms.items():
-        if coeff.re:
-            re_terms[mono] = GaussianRational(coeff.re)
-        if coeff.im:
-            im_terms[mono] = GaussianRational(coeff.im)
-    f1 = Polynomial(2, re_terms)
-    f2 = Polynomial(2, im_terms)
+    # real and imaginary parts: the variables are real on the circle
+    f1 = (p + p.conjugate()).scale(Fraction(1, 2))
+    f2 = (p - p.conjugate()).scale(GaussianRational(0, Fraction(-1, 2)))
     if d < 0:
         f2 = -f2
     f = _certified(PolyMap.explicit([f1, f2], f"circle({d}).f", order=n), "circle pair")

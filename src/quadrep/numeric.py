@@ -302,7 +302,7 @@ class _MapAndJacobian:
     def __init__(self, pmap: PolyMap):
         jac = pmap.jacobian()
         self.m, self.r = pmap.m, pmap.r
-        self.evaluator = Evaluator(pmap.components + [p for row in jac for p in row])
+        self.evaluator = Evaluator([*pmap.components, *(p for row in jac for p in row)])
 
     def h_and_jacobian(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Retraction composed with the map, and its Jacobian, at real points.

@@ -10,6 +10,7 @@ an imported document reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .exact import GaussianRational, Polynomial
@@ -20,14 +21,6 @@ FORMAT_VERSION = 1
 
 class DocumentError(Exception):
     """The document is malformed or violates the format contract."""
-
-
-def _term_entry(mono, coeff: GaussianRational) -> dict:
-    return {
-        "exponents": list(mono),
-        "re": str(coeff.re),
-        "im": str(coeff.im),
-    }
 
 
 def map_to_document(pmap: PolyMap) -> dict:
@@ -43,7 +36,7 @@ def map_to_document(pmap: PolyMap) -> dict:
             "its explicit term list is beyond the storage budget"
         )
     if pmap.document_certificates is not None:
-        certificates = pmap.document_certificates
+        certificates = json.loads(pmap.document_certificates)
     elif pmap.certificate is not None:
         certificates = [pmap.certificate.summary()]
     else:
@@ -55,7 +48,7 @@ def map_to_document(pmap: PolyMap) -> dict:
         "order": pmap.order,
         "label": pmap.label,
         "components": [
-            [_term_entry(mono, coeff) for mono, coeff in comp.sorted_terms()]
+            [{"exponents": list(mono), "re": real, "im": imag} for mono, real, imag in comp.term_texts()]
             for comp in pmap.components
         ],
         "certificates": certificates,
@@ -69,10 +62,14 @@ def _integer(value, what: str, minimum: int) -> int:
     return value
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(value, what: str) -> Fraction:
-    """An exact rational from its string form; a JSON number is refused."""
-    if not isinstance(value, str):
-        raise DocumentError(f"{what} must be a rational string, got {value!r}")
+    """An exact rational from the canonical string form ``str(Fraction)``
+    writes; a JSON number or any other spelling is refused."""
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise DocumentError(f"{what} must be a rational string like -3/4, got {value!r}")
     return Fraction(value)
 
 
@@ -128,7 +125,7 @@ def document_to_map(doc: dict) -> PolyMap:
         certs = doc.get("certificates", [])
         if not isinstance(certs, list):
             raise DocumentError("certificates must be a list")
-        certificates = [_certificate(c) for c in certs]
+        certificates = dumps_canonical([_certificate(c) for c in certs])
         return PolyMap(m, r, components, label=label, order=order, document_certificates=certificates)
     except DocumentError:
         raise
@@ -152,7 +149,8 @@ def read_document(path: str) -> PolyMap:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integers
         raise DocumentError(f"cannot read map document {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("map document must be a JSON object")

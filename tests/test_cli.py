@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, report shape, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -185,15 +186,20 @@ def _first_term(doc):
         pytest.param(lambda d: d.update(order=-1), id="negative-order"),
         pytest.param(lambda d: d.update(label=5), id="number-label"),
         pytest.param(lambda d: d.update(certificates=[1.5, True]), id="loose-certificates"),
+        pytest.param(lambda d: _first_term(d).update(re="1e5000"), id="exponent-notation-coefficient"),
+        # a mutation that returns bytes replaces the whole file
+        pytest.param(lambda d: json.dumps(d).encode().replace(b'"hopf', b'"\xff'), id="non-utf8"),
+        pytest.param(lambda d: b"[" * 200_000, id="deep-nesting"),
+        pytest.param(lambda d: json.dumps(d).replace('"order": 2', '"order": ' + "9" * 5000).encode(), id="huge-integer"),
     ],
 )
 def test_verify_rejects_inexact_document_fields(tmp_path, capsys, mutate):
     f, _ = hopf_pair()
     doc = map_to_document(f)
-    mutate(doc)
+    raw = mutate(doc)
     path = str(tmp_path / "doc.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    with open(path, "wb") as fh:
+        fh.write(raw if raw is not None else json.dumps(doc).encode())
     code, report, err = run(capsys, "verify", path, "--mode", "exact")
     assert code == 2 and report is None
     assert err.startswith("quadrep:") and "Traceback" not in err
@@ -218,6 +224,33 @@ def test_verify_refutes_order_above_degree_bound(tmp_path, capsys, mode, order):
     (check,) = report["checks"]
     assert check["verdict"] == "fail" and check["method"] == "exact-evaluation"
     assert check["witness"] == f"deg q(f) <= 10 < {2 * order} = deg q^{order}"
+
+
+@pytest.mark.parametrize(
+    "mode, exponents, order, code, method",
+    [
+        # the refutation scan would build 2**e for every e <= 10**6; it is
+        # skipped and the full expansion refutes the claim
+        pytest.param("exact", {(0, 0): [1000000, 0]}, 2, 3, "full-expansion", id="refutation-scan"),
+        # the grid fits its point budget, but not its power tables
+        pytest.param("grid", {(0, 0): [99999, 0], (0, 1): [0, 0], (1, 0): [1, 0]}, 0, 2, None, id="grid"),
+    ],
+)
+def test_verify_charges_exact_evaluation_before_it_allocates(tmp_path, capsys, mode, exponents, order, code, method):
+    path = _with_order(tmp_path, capsys, "pi_n:1,2", order)
+    doc = json.loads(open(path).read())
+    for (comp, term), exps in exponents.items():
+        doc["components"][comp][term]["exponents"] = exps
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    t0 = time.perf_counter()
+    got, report, err = run(capsys, "verify", path, "--mode", mode)
+    assert got == code and "Traceback" not in err
+    assert time.perf_counter() - t0 < 20
+    if method:
+        assert report["checks"][0]["method"] == method and report["checks"][0]["verdict"] == "fail"
+    else:
+        assert "power tables exceed the expansion budget" in err
 
 
 def test_verify_order_at_degree_bound_runs_refutation_scan(tmp_path, capsys):

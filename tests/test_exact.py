@@ -293,6 +293,14 @@ def test_zero_coefficients_never_stored():
     assert diff.is_zero() and len(diff) == 0
 
 
+def test_constructor_refuses_bad_exponent_vectors():
+    for mono in [(1,), (1, 0, 0), (-1, 2)]:
+        with pytest.raises(ValueError):
+            Polynomial(2, {mono: 1})
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1.0, 0): 1})
+
+
 def test_derivative():
     z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     p = z1.square() * z2 + z2.scale(3)

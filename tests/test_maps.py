@@ -92,13 +92,13 @@ def test_hopf_wrong_order_fails_with_witness():
 
 def test_circle_pair_small_cases():
     f1, g1 = circle_pair(1)
-    assert f1.components == [Polynomial.variable(2, 0), Polynomial.variable(2, 1)]
-    assert g1.components == [-Polynomial.variable(2, 1), Polynomial.variable(2, 0)]
+    assert f1.components == (Polynomial.variable(2, 0), Polynomial.variable(2, 1))
+    assert g1.components == (-Polynomial.variable(2, 1), Polynomial.variable(2, 0))
     f2, _ = circle_pair(2)
     z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    assert f2.components == [z1.square() - z2.square(), 2 * (z1 * z2)]
+    assert f2.components == (z1.square() - z2.square(), 2 * (z1 * z2))
     fm1, _ = circle_pair(-1)
-    assert fm1.components == [z1, -z2]
+    assert fm1.components == (z1, -z2)
 
 
 def test_circle_pair_orthogonal_certified():
@@ -367,6 +367,24 @@ def test_maps_and_certificates_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         pm.certificate.verdict = False
     assert pm.certificate.verdict and pm.order == 3
+
+
+def test_maps_and_certificates_are_deeply_immutable():
+    pm = catalog("pi_n:1,2")
+    comp = pm.components[0]
+    summary = pm.certificate.summary()
+    with pytest.raises(TypeError):
+        pm.components[0] = Polynomial.variable(2, 0)
+    with pytest.raises(TypeError):
+        pm.certificate.detail["difference_terms"] = 99
+    with pytest.raises(TypeError):
+        comp.terms[(2, 0)] = GaussianRational(5)
+    assert pm.components[0] is comp and pm.certificate.summary() == summary
+    assert certify_order(pm, 2).verdict
+    # nested detail values are frozen too, and come back as lists in the summary
+    grid = certify_order(pm, 2, method="grid")
+    assert grid.detail["per_variable_bounds"] == (4, 4)
+    assert grid.summary()["detail"]["per_variable_bounds"] == [4, 4]
 
 
 @pytest.mark.parametrize("target", ["pi_n:1,2", "pi_n:2,0", "pi_np1:3", "pi3_s2:2"])

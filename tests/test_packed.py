@@ -1,0 +1,224 @@
+"""The packed polynomial form against the tuple/Fraction kernel it replaced.
+
+The reference kernel below keeps the former representation: a dict from
+exponent tuples to (re, im) pairs of Fractions, multiplied term by term and
+ordered by the graded-lex key (sum(mono), mono).  Every operation of the
+packed form must agree with it exactly, including exponents of a few
+hundred, whose products need wider key fields than their operands.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadrep.exact import GaussianRational, Polynomial
+from quadrep.maps import InfeasibleError, _Budget
+
+# ------------------------------------------------------------ reference kernel
+
+
+def ref(p: Polynomial) -> dict:
+    return {mono: (c.re, c.im) for mono, c in p.terms.items()}
+
+
+def ref_poly(nvars: int, terms: dict) -> Polynomial:
+    return Polynomial(nvars, {m: GaussianRational(re, im) for m, (re, im) in terms.items()})
+
+
+def ref_clean(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c[0] or c[1]}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for mono, (re, im) in b.items():
+        r0, i0 = out.get(mono, (0, 0))
+        out[mono] = (r0 + re, i0 + im)
+    return ref_clean(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ma, (ra, ia) in a.items():
+        for mb, (rb, ib) in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            r0, i0 = out.get(mono, (0, 0))
+            out[mono] = (r0 + ra * rb - ia * ib, i0 + ra * ib + ia * rb)
+    return ref_clean(out)
+
+
+def ref_one(nvars: int) -> dict:
+    return {(0,) * nvars: (Fraction(1), Fraction(0))}
+
+
+def ref_compose(outer: dict, args: list[dict], nvars: int) -> tuple[dict, int]:
+    """Substitution, and the coefficient products the former kernel charged."""
+    products = 0
+    powers = [[ref_one(nvars), arg] for arg in args]
+    total = {}
+    for mono, coeff in outer.items():
+        piece = {(0,) * nvars: coeff}
+        for i, e in enumerate(mono):
+            if e:
+                row = powers[i]
+                while len(row) <= e:
+                    products += len(row[-1]) * len(row[1])
+                    row.append(ref_mul(row[-1], row[1]))
+                products += len(piece) * len(row[e])
+                piece = ref_mul(piece, row[e])
+        total = ref_add(total, piece)
+    return total, products
+
+
+def ref_sorted(a: dict) -> list:
+    return sorted(a.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+# ------------------------------------------------------------------ strategies
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+gaussians = st.tuples(fractions, fractions)
+# small exponents, and exponents whose sums pass 255, the widest exponent
+# an 8-bit key field holds
+exponents = st.one_of(st.integers(0, 4), st.integers(100, 300))
+
+
+@st.composite
+def poly_sets(draw, count: int, max_terms: int = 5):
+    nvars = draw(st.integers(1, 3))
+    monos = st.tuples(*[exponents] * nvars)
+    return nvars, [draw(st.dictionaries(monos, gaussians, max_size=max_terms)) for _ in range(count)]
+
+
+def packed(nvars: int, terms: dict) -> Polynomial:
+    return ref_poly(nvars, ref_clean(terms))
+
+
+# ------------------------------------------------------------------ properties
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_sets(2))
+def test_ring_operations_match_reference(case):
+    nvars, (ta, tb) = case
+    a, b = packed(nvars, ta), packed(nvars, tb)
+    ra, rb = ref(a), ref(b)
+    assert ref(a * b) == ref_mul(ra, rb)
+    assert ref(a.square()) == ref_mul(ra, ra)
+    assert ref(a + b) == ref_add(ra, rb)
+    neg_b = {m: (-re, -im) for m, (re, im) in rb.items()}
+    assert ref(a - b) == ref_add(ra, neg_b)
+    assert a * b == ref_poly(nvars, ref_mul(ra, rb))
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_sets(1, max_terms=3), st.integers(0, 4))
+def test_power_matches_reference(case, e):
+    nvars, (ta,) = case
+    a = packed(nvars, ta)
+    want = ref_one(nvars)
+    for _ in range(e):
+        want = ref_mul(want, ref(a))
+    assert ref(a**e) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_sets(1), gaussians)
+def test_scale_matches_reference(case, c):
+    nvars, (ta,) = case
+    a = packed(nvars, ta)
+    want = ref_mul(ref(a), {(0,) * nvars: c})
+    assert ref(a.scale(GaussianRational(*c))) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_compose_matches_reference_and_its_charges(data):
+    n_outer, (outer_terms,) = data.draw(poly_sets(1, max_terms=3))
+    nvars = data.draw(st.integers(1, 3))
+    small = st.tuples(*[st.integers(0, 3)] * nvars)
+    outer = ref_poly(n_outer, {m: c for m, c in ref_clean(outer_terms).items() if sum(m) <= 6})
+    args = [ref_poly(nvars, data.draw(st.dictionaries(small, gaussians, max_size=3))) for _ in range(n_outer)]
+    want, products = ref_compose(ref(outer), [ref(a) for a in args], nvars)
+    budget = _Budget(10**9)
+    assert ref(outer.compose(args, budget)) == want
+    assert budget.spent == products
+    if products:
+        with pytest.raises(InfeasibleError):
+            outer.compose(args, _Budget(products - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_sets(1), st.integers(0, 2), st.data())
+def test_extend_and_derivative_match_reference(case, extra, data):
+    nvars, (ta,) = case
+    a = packed(nvars, ta)
+    ra = ref(a)
+    assert ref(a.extend(nvars + extra)) == {m + (0,) * extra: c for m, c in ra.items()}
+    i = data.draw(st.integers(0, nvars - 1))
+    want = {}
+    for mono, (re, im) in ra.items():
+        if mono[i]:
+            lower = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+            want[lower] = (re * mono[i], im * mono[i])
+    assert ref(a.derivative(i)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_sets(1, max_terms=8))
+def test_order_and_structure_match_reference(case):
+    nvars, (ta,) = case
+    a = packed(nvars, ta)
+    ra = ref(a)
+    order = ref_sorted(ra)
+    assert [(m, (c.re, c.im)) for m, c in a.sorted_terms()] == order
+    assert list(a) == a.sorted_terms()
+    assert a.degree() == max((sum(m) for m in ra), default=-1)
+    assert a.per_variable_degrees() == tuple(max((m[i] for m in ra), default=0) for i in range(nvars))
+    assert a.is_real() == all(im == 0 for _, im in ra.values())
+    texts = [(m, str(c.re), str(c.im)) for m, c in a.sorted_terms()]
+    assert a.term_texts() == texts
+    if ra:
+        mono, coeff = a.leading_term()
+        assert (mono, (coeff.re, coeff.im)) == order[0]
+    else:
+        with pytest.raises(ValueError):
+            a.leading_term()
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_sets(2))
+def test_equality_hash_and_terms_view_match_reference(case):
+    nvars, (ta, tb) = case
+    a, b = packed(nvars, ta), packed(nvars, tb)
+    ra = ref(a)
+    assert ra == ref_clean(ta)  # the view gives back exactly the terms built from
+    assert (a == b) == (ra == ref(b))
+    shuffled = ref_poly(nvars, dict(reversed(list(ra.items()))))
+    assert shuffled == a and hash(shuffled) == hash(a)
+    assert Polynomial(nvars, dict(a.terms)) == a
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    assert len(a.terms) == len(a) == len(ra)
+    for mono, (re, im) in ra.items():
+        assert mono in a.terms and a.terms[mono] == GaussianRational(re, im)
+    # a monomial beyond the degree cannot alias a stored key
+    assert (a.degree() + 1,) + (0,) * (nvars - 1) not in a.terms
+    assert (0,) * (nvars + 1) not in a.terms
+    with pytest.raises(TypeError):
+        a.terms[(0,) * nvars] = GaussianRational(1)
+
+
+def test_width_change_keeps_values():
+    # x^1500 needs 16-bit key fields; x needs 8
+    x = Polynomial.variable(1, 0)
+    big = Polynomial(1, {(1500,): 1})
+    assert big * x == Polynomial(1, {(1501,): 1})
+    assert ref(big * x + x) == {(1501,): (1, 0), (1,): (1, 0)}
+    # cancellation brings the degree back under 256 and the keys back to 8 bits
+    assert (big + x) - big == x and hash((big + x) - big) == hash(x)
+    assert (x**255 * x).degree() == 256
+    assert (x**256).derivative(0) == 256 * x**255

@@ -84,7 +84,7 @@ def test_every_certificate_summary_shape_accepted():
         Certificate(None, "full-expansion", False, witness="nonzero term").summary(),
         Certificate(2, "exact-evaluation", True, {"grid_points": 9}).summary(),
     ]
-    assert document_to_map(doc).document_certificates == doc["certificates"]
+    assert map_to_document(document_to_map(doc))["certificates"] == doc["certificates"]
 
 
 @pytest.mark.parametrize(
@@ -110,6 +110,9 @@ def test_every_certificate_summary_shape_accepted():
         lambda d: d["certificates"][0].update(verdict=True),
         lambda d: d["certificates"][0].update(detail=[]),
         lambda d: d["certificates"][0].update(witness=7),
+        lambda d: d["components"][0][0].update(re="1e5000"),
+        lambda d: d["components"][0][0].update(im="0.5"),
+        lambda d: d["components"][0][0].update(re=" 1"),
     ],
 )
 def test_malformed_documents_rejected(mutate):
