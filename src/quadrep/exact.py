@@ -155,9 +155,9 @@ class GaussianRational:
         imaginary part renders as e.g. "1/2-3/4*i".
         """
         if not self.im:
-            return str(self.re)
+            return _rational_text(self.re)
         sep = "+" if self.im > 0 else ""
-        return f"{self.re}{sep}{self.im}*i"
+        return f"{_rational_text(self.re)}{sep}{_rational_text(self.im)}*i"
 
     @classmethod
     def from_string(cls, text: str) -> "GaussianRational":
@@ -210,6 +210,29 @@ def _pair(value: GaussianRational) -> tuple[int, int, int]:
     re, im = value.re, value.im
     den = math.lcm(re.denominator, im.denominator)
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+_TEXT_CHUNK = 10**600  # below the least digit limit the interpreter accepts (640)
+
+
+def int_text(n: int) -> str:
+    """``str(n)``, also for integers past the interpreter's digit limit for
+    int-to-str conversion, which ``str`` refuses with ``ValueError``."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    chunks, rest = [], abs(n)
+    while rest >= _TEXT_CHUNK:
+        rest, low = divmod(rest, _TEXT_CHUNK)
+        chunks.append(f"{low:0600d}")
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
+
+
+def _rational_text(value: Fraction) -> str:
+    """``str(value)``, at any length."""
+    text = int_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{int_text(value.denominator)}"
 
 
 def _fraction_text(n: int, d: int) -> str:
@@ -560,7 +583,8 @@ class _Terms(Mapping):
 # them by the coefficient matrix.  The exact backend works on the stored
 # Gaussian-integer numerators, brought over one denominator for the whole
 # list, so its inner loop is Python int arithmetic and Fractions appear only
-# in the final values.
+# in the final values.  ``integer_terms`` gives those numerators by monomial,
+# for the modular grid zero test in maps.py.
 
 _TERM_BLOCK = 128  # monomials gathered per matrix product
 _ROW_BLOCK = 4096  # points per power table; with _TERM_BLOCK it bounds memory
@@ -614,6 +638,11 @@ class Evaluator:
             self._batch = (top, blocks)
         return self._batch
 
+    def batch_cost(self, rows: int) -> int:
+        """Room the power table of one ``eval_batch`` block over ``rows``
+        points takes, in units of one coordinate."""
+        return self.nvars * self._batch_tables()[0] * min(rows, _ROW_BLOCK)
+
     def eval_batch(self, points) -> np.ndarray:
         """Values of every polynomial at each row of an (N, nvars) array."""
         Z = np.asarray(points, dtype=complex)
@@ -648,7 +677,6 @@ class Evaluator:
     def _exact_tables(self):
         if self._exact is None:
             nvars = self.nvars
-            den = math.lcm(*(p._den for p in self.polys))
             dmax = max(0, *(p._degree for p in self.polys))
             # Each monomial value is built as a chain of products along its
             # nonzero factors, shared between monomials with a common prefix.
@@ -679,12 +707,19 @@ class Evaluator:
                     at = link(key + ((nvars, pad),), at, nvars, pad)
                 return at
 
-            rows = [
-                [(node(p._mono(k)), re * (den // p._den), im * (den // p._den)) for k, (re, im) in p._num.items()]
-                for p in self.polys
-            ]
+            den, terms = self.integer_terms()
+            rows = [[(node(mono), re, im) for mono, re, im in row] for row in terms]
             self._exact = (steps, rows, maxexp, den, dmax)
         return self._exact
+
+    def integer_terms(self) -> tuple[int, list[list[tuple[Monomial, int, int]]]]:
+        """The polynomials over one denominator, as (den, rows): polynomial j
+        is the sum of (re + im*i) * z**mono / den over (mono, re, im) in rows[j]."""
+        den = math.lcm(*(p._den for p in self.polys))
+        return den, [
+            [(p._mono(k), re * (den // p._den), im * (den // p._den)) for k, (re, im) in p._num.items()]
+            for p in self.polys
+        ]
 
     def power_cost(self) -> int:
         """Room the power tables of one ``numerators`` call take, in units

@@ -16,7 +16,12 @@ exactly, never numerically:
   steps are instances of "composition with polynomials is a ring morphism";
 * exact-evaluation: evaluate the difference on a full integer grid with
   per-variable point count exceeding the per-variable degree bound, a sound
-  and complete zero test for polynomials.
+  and complete zero test for polynomials.  The numerators N_j = A_j + B_j*i
+  over the common denominator D are evaluated on the whole grid in numpy
+  int64 arithmetic modulo primes below 2**24, whose product exceeds a bound
+  H on every |sum(A_j^2 - B_j^2) - q^k D^2| and |sum(A_j B_j)| at a grid
+  point; so a value that vanishes modulo every prime vanishes over Z.  The
+  first failing point is re-evaluated exactly for the witness.
 
 Deep compositions in the torsion chain have components too large to expand
 or even to store (the one-level suspension of the order-22 pair would need
@@ -28,7 +33,6 @@ is out of reach.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +42,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import GR_I, Evaluator, GaussianRational, Polynomial, charged_mul
+from .exact import GR_I, Evaluator, GaussianRational, Polynomial, charged_mul, int_text
 
 # Product-count budget for a single full expansion, and point budget for the
 # grid zero test.  Both are deliberate ceilings: beyond them the factored
@@ -258,7 +262,11 @@ class PolyMap:
         if self.node is not None:
             out = self.node.eval_batch(Z)
         else:
-            out = self.evaluator().eval_batch(Z)
+            evaluator = self.evaluator()
+            # charged like exact evaluation, before the table is allocated
+            if evaluator.batch_cost(len(Z)) > DEFAULT_EXPANSION_BUDGET:
+                raise InfeasibleError(f"batch power tables exceed the expansion budget {DEFAULT_EXPANSION_BUDGET}")
+            out = evaluator.eval_batch(Z)
         return out[0] if single else out
 
     def eval_exact(self, point: Sequence) -> list[GaussianRational]:
@@ -473,37 +481,128 @@ def _composition_cert(node: CompositionNode, k: int, budget: _Budget) -> Certifi
     )
 
 
+# The grid test evaluates the numerators N_j = D * f_j (D the common
+# denominator) on the whole grid at once in numpy int64 arithmetic, modulo
+# primes below 2**24, with one Vandermonde mode product per variable.  A mode
+# product sums at most (longest contraction) products of two residues, so it
+# stays below 2**63 while p**2 * (longest contraction) < 2**63.  The charge of
+# ``power_cost`` against the default expansion budget caps every exponent near
+# 3161, so primes below 2**24 are safe; a larger budget lowers the primes.
+_MODULUS_LIMIT = 1 << 24
+
+
+def _prime_below(n: int) -> int:
+    """The largest prime below n, by trial division."""
+    p = n - 1
+    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p -= 1
+    return p
+
+
+def _moduli(height: int, limit: int) -> list[int]:
+    """Primes below ``limit``, largest first, until their product exceeds ``height``."""
+    primes, product = [], 1
+    while product <= height:
+        primes.append(_prime_below(primes[-1] if primes else limit))
+        product *= primes[-1]
+    return primes
+
+
+def _pow_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
+    """x**k mod p elementwise, for residues x < p."""
+    out = np.ones_like(x)
+    while k:
+        if k & 1:
+            out = out * x % p
+        x = x * x % p
+        k >>= 1
+    return out
+
+
+def _vandermonde(n: int, d: int, p: int) -> np.ndarray:
+    """(n, d) matrix of c**e mod p for the grid coordinates c < n and e < d."""
+    c = np.arange(n, dtype=np.int64) % p
+    out = np.ones((n, d), dtype=np.int64)
+    for e in range(1, d):
+        out[:, e] = out[:, e - 1] * c % p
+    return out
+
+
+def _grid_values(terms: list, dims: list[int], vander: list[np.ndarray], p: int) -> np.ndarray:
+    """(2, *grid) residues mod p of the real and imaginary parts of one
+    numerator, given as (mono, re, im) terms, on the whole grid."""
+    vals = np.zeros((2, *dims), dtype=np.int64)
+    for mono, re, im in terms:
+        vals[(0, *mono)] = re % p
+        vals[(1, *mono)] = im % p
+    # one mode product per variable: the contracted axis moves to the end
+    for v in vander:
+        vals = np.tensordot(vals, v, axes=([1], [1])) % p
+    return vals
+
+
+def _grid_misses(rows: list, k: int, den: int, dims: list[int], sides: list[int], moduli: list[int]) -> np.ndarray:
+    """Mask of the grid points c, 0 <= c_i < sides[i], where some modulus
+    sees sum(A_j^2 - B_j^2) != q^k den^2 or sum(A_j B_j) != 0, for the
+    numerators A_j + B_j*i of ``rows``; coefficient tensors have shape ``dims``."""
+    q = sum(np.ix_(*(np.arange(n, dtype=np.int64) ** 2 for n in sides)))
+    miss = np.zeros(sides, dtype=bool)
+    for p in moduli:
+        vander = [_vandermonde(n, d, p) for n, d in zip(sides, dims)]
+        real = -_pow_mod(q % p, k, p) * (den * den % p) % p
+        imag = np.zeros(sides, dtype=np.int64)
+        for terms in rows:
+            a, b = _grid_values(terms, dims, vander, p)
+            real = (real + a * a - b * b) % p
+            imag = (imag + a * b) % p
+        miss |= (real != 0) | (imag != 0)
+    return miss
+
+
 def _grid_cert(pmap: PolyMap, k: int, grid_budget: int, expansion_budget: int) -> Certificate:
     bounds = pmap.per_variable_bounds()
     diff_bounds = [max(2 * b, 2 * k) for b in bounds]
-    npoints = 1
-    for b in diff_bounds:
-        npoints *= b + 1
+    npoints = math.prod(b + 1 for b in diff_bounds)
     if npoints > grid_budget:
         raise InfeasibleError(
             f"grid zero test needs {npoints} points for per-variable bounds {diff_bounds}; "
             f"budget is {grid_budget}"
         )
-    detail = {"grid_points": npoints, "per_variable_bounds": diff_bounds}
-    evaluator = pmap.evaluator() if pmap.components is not None else None
-    if evaluator is not None and evaluator.power_cost() > expansion_budget:
+    if pmap.components is None:
+        raise InfeasibleError("grid zero test needs materialized components")
+    evaluator = pmap.evaluator()
+    if evaluator.power_cost() > expansion_budget:
         raise InfeasibleError(f"grid zero test power tables exceed the expansion budget {expansion_budget}")
-    for combo in itertools.product(*(range(b + 1) for b in diff_bounds)):
-        if evaluator is not None:
-            # integer point: the components are numerators over one scale, so
-            # the difference vanishes iff sum(num^2) = q(p)^k * scale^2
-            nums, scale = evaluator.numerators([(c, 0) for c in combo], 1)
-            total_re = sum(re * re - im * im for re, im in nums)
-            total_im = sum(re * im for re, im in nums)
-            if total_im == 0 and total_re == sum(c * c for c in combo) ** k * scale * scale:
-                continue
-        diff = _difference_at(pmap, k, [GaussianRational(c) for c in combo])
-        if diff.is_zero():
-            continue
-        coords = ", ".join(str(c) for c in combo)
-        witness = f"difference {diff.canonical_str()} at grid point ({coords})"
-        return Certificate(k, "exact-evaluation", False, detail, witness)
-    return Certificate(k, "exact-evaluation", True, detail)
+    den, rows = evaluator.integer_terms()
+    # Every coordinate of a grid point c lies in 0..top, so |A_j(c)| and
+    # |B_j(c)| are at most the l1 norms of A_j and B_j times top**deg f_j,
+    # and q(c)**k * den**2 is at most (m * top**2)**k * den**2.  Then height
+    # bounds |sum(A_j^2 - B_j^2) - q^k den^2| and |sum(A_j B_j)|, and a value
+    # that vanishes modulo primes with product above it vanishes over Z.
+    top = max([1, *diff_bounds])
+    height = (pmap.m * top * top) ** k * den * den
+    for terms, comp in zip(rows, pmap.components):
+        scale = top ** max(comp.degree(), 0)
+        a = scale * sum(abs(re) for _, re, _ in terms)
+        b = scale * sum(abs(im) for _, _, im in terms)
+        height += a * a + b * b
+    moduli = _moduli(height, min(_MODULUS_LIMIT, math.isqrt((2**63 - 1) // (max(bounds) + 1))))
+    sides = [b + 1 for b in diff_bounds]
+    miss = _grid_misses(rows, k, den, [b + 1 for b in bounds], sides, moduli)
+    detail = {
+        "grid_points": npoints,
+        "per_variable_bounds": diff_bounds,
+        "moduli": moduli,
+        "height_bits": height.bit_length(),
+    }
+    if not miss.any():
+        return Certificate(k, "exact-evaluation", True, detail)
+    # the first failing point in itertools.product order, re-evaluated exactly
+    combo = [int(c) for c in np.unravel_index(int(miss.argmax()), miss.shape)]
+    diff = _difference_at(pmap, k, [GaussianRational(c) for c in combo])
+    coords = ", ".join(str(c) for c in combo)
+    witness = f"difference {diff.canonical_str()} at grid point ({coords})"
+    return Certificate(k, "exact-evaluation", False, detail, witness)
 
 
 def certify_order(
@@ -527,7 +626,7 @@ def certify_order(
         raise ValueError(f"unknown certification method {method!r}")
     bound = max(pmap.max_degree_bound(), 0)
     if k > bound:
-        witness = f"deg q(f) <= {2 * bound} < {2 * k} = deg q^{k}"
+        witness = f"deg q(f) <= {2 * bound} < {int_text(2 * k)} = deg q^{int_text(k)}"
         return Certificate(k, "exact-evaluation", False, {"stage": "degree bound"}, witness)
     witness = _refute(pmap, k, expansion_budget)
     if witness is not None:

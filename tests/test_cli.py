@@ -205,6 +205,32 @@ def test_verify_rejects_inexact_document_fields(tmp_path, capsys, mutate):
     assert err.startswith("quadrep:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+@pytest.mark.parametrize(
+    "field, value, start",
+    [
+        # the difference at the first refutation point has about 8000 digits
+        pytest.param("re", "1" + "0" * 4000, "q(f(p)) - q(p)^2 = 1", id="long-coefficient"),
+        # twice the claim has 4301 digits, one past the int-to-str limit
+        pytest.param("order", int("9" * 4300), "deg q(f) <= 4 < 1999", id="long-order"),
+    ],
+)
+def test_verify_formats_witnesses_past_the_digit_limit(tmp_path, capsys, mode, field, value, start):
+    path = _with_order(tmp_path, capsys, "pi_n:1,2", 2)
+    doc = json.loads(open(path).read())
+    if field == "order":
+        doc["order"] = value
+    else:
+        _first_term(doc)[field] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, report, err = run(capsys, "verify", path, "--mode", mode)
+    assert code == 3 and "Traceback" not in err
+    (check,) = report["checks"]
+    assert check["verdict"] == "fail" and check["witness"].startswith(start)
+    assert len(check["witness"]) > 4300
+
+
 def _with_order(tmp_path, capsys, target, order):
     path = str(tmp_path / "claim.json")
     run(capsys, "generate", target, "-o", path)
@@ -234,6 +260,8 @@ def test_verify_refutes_order_above_degree_bound(tmp_path, capsys, mode, order):
         pytest.param("exact", {(0, 0): [1000000, 0]}, 2, 3, "full-expansion", id="refutation-scan"),
         # the grid fits its point budget, but not its power tables
         pytest.param("grid", {(0, 0): [99999, 0], (0, 1): [0, 0], (1, 0): [1, 0]}, 0, 2, None, id="grid"),
+        # the float backend would allocate a 61 GiB power table
+        pytest.param("sampled", {(0, 0): [1000000, 0]}, 2, 2, None, id="sampled"),
     ],
 )
 def test_verify_charges_exact_evaluation_before_it_allocates(tmp_path, capsys, mode, exponents, order, code, method):

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: ring axioms, composition, evaluation, text forms."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -328,3 +329,21 @@ def test_iteration_is_canonical():
         + Polynomial.constant(2, 3)
     )
     assert list(p) == p.sorted_terms()
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 7, -42, 10**600, -(10**1200) - 5, 10**1200 + 5, 10**4299, 3**20000, -(7**9000)],
+    # a default id would convert the integer with str
+    ids=lambda n: f"{'-' if n < 0 else ''}{n.bit_length()}bits",
+)
+def test_text_is_str_at_any_length(n):
+    value = GaussianRational(Fraction(n, 3), Fraction(-n - 1, 7))
+    got = (exact.int_text(n), value.canonical_str())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        sep = "+" if value.im > 0 else ""
+        assert got == (str(n), f"{value.re}{sep}{value.im}*i")
+    finally:
+        sys.set_int_max_str_digits(limit)
