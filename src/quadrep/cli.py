@@ -26,8 +26,8 @@ from .maps import (
 from .numeric import NumericError
 from .serialize import (
     DocumentError,
+    document_parts,
     dumps_canonical,
-    map_to_document,
     read_document,
     write_document,
 )
@@ -88,10 +88,7 @@ def _cmd_generate(args) -> int:
         raise _Failure(EXIT_USAGE, str(exc))
     except MapError as exc:
         raise _Failure(EXIT_MATH, str(exc))
-    try:
-        write_document(pmap, args.output)
-    except InfeasibleError as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
+    write_document(pmap, args.output)
     _emit(
         {
             "command": "generate",
@@ -283,12 +280,10 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_export(args) -> int:
     pmap = read_document(args.input)
-    text = dumps_canonical(map_to_document(pmap))
     if args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(document_parts(pmap))
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_document(pmap, args.output)
     return EXIT_PASS
 
 
@@ -371,16 +366,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Failure as exc:
         print(f"quadrep: {exc}", file=sys.stderr)
         return exc.code
-    except DocumentError as exc:
+    except (DocumentError, InfeasibleError) as exc:
         print(f"quadrep: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleError as exc:
-        print(f"quadrep: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as exc:
-        print(f"quadrep: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except MapError as exc:
+    except (NumericError, MapError) as exc:
         print(f"quadrep: {exc}", file=sys.stderr)
         return EXIT_MATH
 

@@ -236,9 +236,9 @@ def _rational_text(value: Fraction) -> str:
 
 
 def _fraction_text(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` without building the Fraction."""
+    """``str(Fraction(n, d))`` without building the Fraction, at any length."""
     g = math.gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    return int_text(n // g) if g == d else f"{int_text(n // g)}/{int_text(d // g)}"
 
 
 class Polynomial:

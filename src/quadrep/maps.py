@@ -214,8 +214,8 @@ class PolyMap:
     node: Optional[SuspensionNode | CompositionNode] = None
     label: str = ""
     order: Optional[int] = None
-    # canonical JSON text of the certificate list an imported document
-    # carries, kept so that export -> import -> export stays byte-identical
+    # canonical JSON text (no newline) of an imported document's certificate
+    # list, spliced back in on export so that export -> import -> export stays byte-identical
     document_certificates: Optional[str] = None
     certificate: Optional[Certificate] = field(default=None, init=False)
     _evaluator: Optional[Evaluator] = field(default=None, init=False)
@@ -387,12 +387,29 @@ def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[str]:
     return None
 
 
+def _form_power_cost(m: int, k: int) -> int:
+    """Coefficient products ``Polynomial.__pow__`` spends on q^k, where q is
+    ``quadratic_form(m)`` and q^j has C(j+m-1, m-1) terms."""
+    cost, base, result = 0, 1, 0  # q^base is squared, q^result accumulates
+    while k:
+        n = math.comb(base + m - 1, m - 1)
+        if k & 1:
+            cost += math.comb(result + m - 1, m - 1) * n if result else 0
+            result += base
+        k >>= 1
+        if k:
+            cost += n * (n + 1) // 2
+            base *= 2
+    return cost
+
+
 def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
     """Certificate by exact expansion, factoring through the structure node
-    when the explicit components are too large to square directly."""
+    when squaring the components or forming q^k would outgrow the budget."""
     if pmap.components is not None:
         cost = sum(len(c) * (len(c) + 1) // 2 for c in pmap.components)
-        if budget.spent + cost <= budget.limit:
+        # q^k must fit too; it is not charged, so certificates keep their expanded_products
+        if budget.spent + cost + _form_power_cost(pmap.m, k) <= budget.limit:
             budget.charge(cost)
             total = Polynomial.zero(pmap.m)
             for c in pmap.components:
@@ -409,7 +426,7 @@ def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
     if isinstance(pmap.node, CompositionNode):
         return _composition_cert(pmap.node, k, budget)
     raise InfeasibleError(
-        "components too large for direct expansion and no structure node to factor through"
+        "q(f) - q^k too large for direct expansion and no structure node to factor through"
     )
 
 

@@ -9,50 +9,57 @@ an imported document reproduces it byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import re
+import stat
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import GaussianRational, Polynomial
 from .maps import InfeasibleError, PolyMap
 
 FORMAT_VERSION = 1
+_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
 class DocumentError(Exception):
     """The document is malformed or violates the format contract."""
 
 
-def map_to_document(pmap: PolyMap) -> dict:
-    """Explicit-component document for a map.
-
-    Maps whose components were never materialized (the deep torsion-chain
-    suspensions) cannot be exported: their explicit term lists would need
-    billions of entries.
-    """
+def document_parts(pmap: PolyMap) -> Iterator[str]:
+    """The canonical document text in pieces (head, one per component, tail),
+    built from the packed terms.  Maps without materialized components (the
+    deep torsion-chain suspensions) are refused before the first piece."""
     if pmap.components is None:
         raise InfeasibleError(
             f"map {pmap.label!r} has no materialized components; "
             "its explicit term list is beyond the storage budget"
         )
-    if pmap.document_certificates is not None:
-        certificates = json.loads(pmap.document_certificates)
-    elif pmap.certificate is not None:
-        certificates = [pmap.certificate.summary()]
-    else:
-        certificates = []
-    return {
-        "format_version": FORMAT_VERSION,
-        "domain_dim": pmap.m,
-        "codomain_dim": pmap.r,
-        "order": pmap.order,
-        "label": pmap.label,
-        "components": [
-            [{"exponents": list(mono), "re": real, "im": imag} for mono, real, imag in comp.term_texts()]
-            for comp in pmap.components
-        ],
-        "certificates": certificates,
-    }
+    certificates = pmap.document_certificates
+    if certificates is None:
+        certificates = _json([pmap.certificate.summary()] if pmap.certificate is not None else [])
+    head = f'{{"certificates":{certificates},"codomain_dim":{pmap.r},"components":['
+    tail = (
+        f'],"domain_dim":{pmap.m},"format_version":{FORMAT_VERSION},'
+        f'"label":{_json(pmap.label)},"order":{_json(pmap.order)}}}\n'
+    )
+    pieces = (("," if i else "") + _component_text(comp) for i, comp in enumerate(pmap.components))
+    return itertools.chain((head,), pieces, (tail,))
+
+
+def _component_text(comp: Polynomial) -> str:
+    terms = [
+        f'{{"exponents":[{",".join(map(str, mono))}],"im":"{im}","re":"{re}"}}'
+        for mono, re, im in comp.term_texts()
+    ]
+    return "[" + ",".join(terms) + "]"
+
+
+def map_to_document(pmap: PolyMap) -> dict:
+    """The document of a map as a JSON object, parsed from its canonical text."""
+    return json.loads("".join(document_parts(pmap)))
 
 
 def _integer(value, what: str, minimum: int) -> int:
@@ -125,7 +132,7 @@ def document_to_map(doc: dict) -> PolyMap:
         certs = doc.get("certificates", [])
         if not isinstance(certs, list):
             raise DocumentError("certificates must be a list")
-        certificates = dumps_canonical([_certificate(c) for c in certs])
+        certificates = _json([_certificate(c) for c in certs])
         return PolyMap(m, r, components, label=label, order=order, document_certificates=certificates)
     except DocumentError:
         raise
@@ -135,14 +142,21 @@ def document_to_map(doc: dict) -> PolyMap:
 
 def dumps_canonical(obj) -> str:
     """Canonical JSON text: sorted keys, compact separators, one newline."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json(obj) + "\n"
 
 
 def write_document(pmap: PolyMap, path: str):
-    # build the text first: a map that cannot be exported leaves no file
-    text = dumps_canonical(map_to_document(pmap))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """The only file writer: writes in place, then cuts a regular file to
+    length (no truncate to zero, which makes ext4 flush on close; no fsync).
+    A map that cannot be exported leaves the path untouched."""
+    parts = document_parts(pmap)
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.writelines(part.encode("utf-8") for part in parts)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_document(path: str) -> PolyMap:

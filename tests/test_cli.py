@@ -161,6 +161,37 @@ def test_generate_unmaterializable_target(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "export"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
+    src = str(tmp_path / "src.json")
+    run(capsys, "generate", "pi_n:1,2", "-o", src)
+    out = str(tmp_path / "no" / "such" / "x.json") if where == "missing-directory" else str(tmp_path)
+    argv = ["generate", "pi_n:1,2"] if command == "generate" else ["export", src]
+    code, report, err = run(capsys, *argv, "-o", out)
+    assert code == 2
+    assert report is None
+    assert err.startswith(f"quadrep: cannot write {out}")
+    assert "Traceback" not in err
+
+
+def test_verify_unaffordable_order_claim_exits_2(tmp_path, capsys):
+    """A circle document claiming order 6000 through one x^6000 term: q^6000
+    is beyond the expansion budget, so verify refuses within seconds rather
+    than expanding it for half a minute."""
+    path = tmp_path / "k.json"
+    run(capsys, "generate", "pi_n:1,2", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["components"][0][0]["exponents"] = [6000, 0]
+    doc.update(order=6000, label="")
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", str(path), "--mode", "exact")
+    assert code == 2
+    assert time.perf_counter() - start < 5
+    assert err.startswith("quadrep: ")
+
+
 def test_verify_grid_infeasible_on_large_document(tmp_path, capsys):
     path = str(tmp_path / "big.json")
     run(capsys, "generate", "pi_np2:2", "-o", path)

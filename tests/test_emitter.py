@@ -1,0 +1,125 @@
+"""The document emitter against the dict builder it replaced.
+
+``reference_document`` below keeps the former way of writing a document:
+a dict with one dict per term, each coefficient spelled by
+``str(Fraction)``, handed to the generic JSON encoder by
+``dumps_canonical``.  The emitter in ``serialize`` writes the text straight
+from the packed terms; every document it writes must equal the reference
+text byte for byte, for catalog maps (certificate summary), for imported
+documents (stored certificate text) and for labels with quotes,
+backslashes, control characters and non-ASCII text.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadrep.exact import GaussianRational, Polynomial
+from quadrep.maps import PolyMap, catalog
+from quadrep.serialize import FORMAT_VERSION, document_parts, document_to_map, dumps_canonical
+
+# ---------------------------------------------------------- reference builder
+
+
+def reference_document(pmap: PolyMap) -> dict:
+    if pmap.document_certificates is not None:
+        certificates = json.loads(pmap.document_certificates)
+    elif pmap.certificate is not None:
+        certificates = [pmap.certificate.summary()]
+    else:
+        certificates = []
+    return {
+        "format_version": FORMAT_VERSION,
+        "domain_dim": pmap.m,
+        "codomain_dim": pmap.r,
+        "order": pmap.order,
+        "label": pmap.label,
+        "components": [
+            [{"exponents": list(mono), "re": str(c.re), "im": str(c.im)} for mono, c in comp.sorted_terms()]
+            for comp in pmap.components
+        ],
+        "certificates": certificates,
+    }
+
+
+def emitted(pmap: PolyMap) -> str:
+    return "".join(document_parts(pmap))
+
+
+def assert_same_document(pmap: PolyMap):
+    text = emitted(pmap)
+    assert text == dumps_canonical(reference_document(pmap))
+    # the imported document keeps its certificates as stored text
+    imported = document_to_map(json.loads(text))
+    assert emitted(imported) == dumps_canonical(reference_document(imported)) == text
+
+
+# ------------------------------------------------------------------- catalog
+
+SWEEP = (
+    [f"pi_n:{n},{d}" for n in range(1, 5) for d in range(-3, 4)]
+    + [f"pi_np1:{n}" for n in range(3, 7)]
+    + [f"pi3_s2:{d}" for d in range(-2, 3)]
+    + ["pi_np2:2", "pi_np2:4", "pi3_s2:7"]
+)
+
+
+@pytest.mark.parametrize("target", SWEEP)
+def test_catalog_documents_match_reference(target):
+    assert_same_document(catalog(target))
+
+
+# ---------------------------------------------------------------- generated
+
+LABEL_SAMPLES = ['quote " and backslash \\', "tab\tnewline\n nul\x00 bell\x07", "\u2028 é ∑ 😀", "\x7f\ufeff"]
+labels = st.one_of(
+    st.sampled_from(LABEL_SAMPLES),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+fractions = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+coefficients = st.builds(GaussianRational, fractions, st.one_of(st.just(Fraction(0)), fractions))
+
+
+@st.composite
+def maps(draw):
+    m = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 300)] * m)
+    components = [
+        Polynomial(m, draw(st.dictionaries(monos, coefficients, max_size=6)))
+        for _ in range(r)
+    ]
+    order = draw(st.one_of(st.none(), st.integers(0, 10**20)))
+    return PolyMap.explicit(components, draw(labels), order=order)
+
+
+texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+certificate_entries = st.fixed_dictionaries(
+    {
+        "claimed_order": st.one_of(st.none(), st.integers(0, 10**6)),
+        "method": texts,
+        "verdict": st.sampled_from(["pass", "fail"]),
+    },
+    optional={
+        "detail": st.dictionaries(texts, st.one_of(st.integers(), texts, st.lists(st.integers(), max_size=3)), max_size=3),
+        "witness": texts,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps())
+def test_generated_maps_match_reference(pmap):
+    assert_same_document(pmap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps(), st.lists(certificate_entries, max_size=3))
+def test_imported_certificates_match_reference(pmap, certificates):
+    doc = json.loads(emitted(pmap))
+    doc["certificates"] = certificates
+    imported = document_to_map(doc)
+    assert emitted(imported) == dumps_canonical(reference_document(imported)) == dumps_canonical(doc)

@@ -1,6 +1,7 @@
 """Map algebra: pairings, order certification, suspension, composition, catalog."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,37 @@ def test_grid_budget_guard():
     big = catalog("pi_np2:2")  # per-variable degree 8 in 5 variables
     with pytest.raises(InfeasibleError):
         certify_order(big, 6, method="grid", grid_budget=1000)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_form_power_cost_counts_the_products_of_pow(monkeypatch, m):
+    from quadrep import exact
+
+    counted = []
+    mul, square = exact._mul_poly, exact._square_poly
+    monkeypatch.setattr(exact, "_mul_poly", lambda a, b: counted.append(len(a) * len(b)) or mul(a, b))
+    monkeypatch.setattr(exact, "_square_poly", lambda p: counted.append(len(p) * (len(p) + 1) // 2) or square(p))
+    q = quadratic_form(m)
+    for k in range(0, 40 if m < 5 else 12):
+        counted.clear()
+        q**k
+        assert maps._form_power_cost(m, k) == sum(counted), k
+
+
+def test_expansion_refuses_unaffordable_q_power():
+    """q^k is checked against the budget before it is formed: a claimed
+    order of 6000 on a circle map would take half a minute to expand."""
+    f, _ = circle_pair(2)
+    big = Polynomial(2, {(6000, 0): 1, (0, 2): -1})
+    doc_map = PolyMap.explicit([big, f.components[1]], "", order=6000)
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError):
+        certify_order(doc_map, 6000, method="expansion")
+    with pytest.raises(InfeasibleError):
+        certify_order(doc_map, 6000)
+    assert time.perf_counter() - start < 5
+    # an affordable power is still formed and the certificate is unchanged
+    assert certify_order(f, 2).detail == {"difference_terms": 0, "expanded_products": 4}
 
 
 def test_corrupted_map_fails_fast_with_witness():

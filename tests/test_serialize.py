@@ -1,10 +1,14 @@
 """Map documents: canonical JSON, exact round trips, validation."""
 
 import json
+import os
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
 
+from quadrep.cli import main
 from quadrep.exact import GaussianRational, Polynomial
 from quadrep.maps import Certificate, InfeasibleError, PolyMap, catalog, hopf_pair
 from quadrep.serialize import (
@@ -126,3 +130,82 @@ def test_malformed_documents_rejected(mutate):
 def test_read_document_missing_file():
     with pytest.raises(DocumentError):
         read_document("/nonexistent/path.json")
+
+
+# ------------------------------------------------------------------- writer
+
+
+def canonical_bytes(pmap) -> bytes:
+    return dumps_canonical(map_to_document(pmap)).encode("utf-8")
+
+
+@pytest.mark.parametrize("before", [b"x" * 100_000, b"{}", b""])
+def test_overwrite_leaves_exactly_the_document(tmp_path, before):
+    pm = catalog("pi_n:2,2")
+    path = tmp_path / "doc.json"
+    path.write_bytes(before)
+    write_document(pm, str(path))
+    assert path.read_bytes() == canonical_bytes(pm)
+
+
+def test_write_through_symlink_keeps_the_link(tmp_path):
+    pm = catalog("pi_n:1,2")
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"y" * 5000)
+    link.symlink_to(target)
+    write_document(pm, str(link))
+    assert link.is_symlink()
+    assert target.read_bytes() == canonical_bytes(pm)
+
+
+def test_overwrite_keeps_mode_inode_and_links(tmp_path):
+    pm = catalog("pi_n:1,2")
+    path, twin = tmp_path / "doc.json", tmp_path / "twin.json"
+    path.write_bytes(b"z" * 5000)
+    path.chmod(0o600)
+    os.link(path, twin)
+    inode = path.stat().st_ino
+    write_document(pm, str(path))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.stat().st_ino == inode
+    assert twin.read_bytes() == canonical_bytes(pm)
+
+
+def test_write_to_devnull():
+    write_document(catalog("pi_n:1,2"), os.devnull)
+
+
+def test_write_to_fifo(tmp_path):
+    pm = catalog("pi_n:1,2")
+    fifo = str(tmp_path / "pipe")
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(open(fifo, "rb").read()), daemon=True)
+    reader.start()
+    write_document(pm, fifo)
+    reader.join(timeout=10)
+    assert received == [canonical_bytes(pm)]
+
+
+def test_export_rewrites_its_own_input(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    write_document(catalog("pi_np1:3"), str(path))
+    before = path.read_bytes()
+    assert main(["export", str(path), "-o", str(path)]) == 0
+    assert path.read_bytes() == before
+
+
+def test_write_document_unwritable_path(tmp_path):
+    with pytest.raises(DocumentError, match="cannot write"):
+        write_document(catalog("pi_n:1,2"), str(tmp_path / "missing" / "x.json"))
+
+
+def test_write_document_past_the_digit_limit(tmp_path):
+    big = 10**5000 + 1
+    pm = PolyMap.explicit([Polynomial(1, {(1,): 1}), Polynomial(1, {(2,): Fraction(big, 3)})], "big")
+    path = tmp_path / "big.json"
+    path.write_text("old contents")
+    write_document(pm, str(path))
+    text = path.read_text()
+    assert text.endswith('"label":"big","order":null}\n')
+    assert f'"re":"1{"0" * 4999}1/3"' in text
