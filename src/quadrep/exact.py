@@ -154,10 +154,11 @@ class GaussianRational:
         Fractions are reduced with the sign on the numerator, so a negative
         imaginary part renders as e.g. "1/2-3/4*i".
         """
+        re, im = (_fraction_text(v.numerator, v.denominator) for v in (self.re, self.im))
         if not self.im:
-            return _rational_text(self.re)
+            return re
         sep = "+" if self.im > 0 else ""
-        return f"{_rational_text(self.re)}{sep}{_rational_text(self.im)}*i"
+        return f"{re}{sep}{im}*i"
 
     @classmethod
     def from_string(cls, text: str) -> "GaussianRational":
@@ -227,12 +228,6 @@ def int_text(n: int) -> str:
         rest, low = divmod(rest, _TEXT_CHUNK)
         chunks.append(f"{low:0600d}")
     return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
-
-
-def _rational_text(value: Fraction) -> str:
-    """``str(value)``, at any length."""
-    text = int_text(value.numerator)
-    return text if value.denominator == 1 else f"{text}/{int_text(value.denominator)}"
 
 
 def _fraction_text(n: int, d: int) -> str:
@@ -638,10 +633,11 @@ class Evaluator:
             self._batch = (top, blocks)
         return self._batch
 
-    def batch_cost(self, rows: int) -> int:
+    def batch_cost(self, rows: int | None = None) -> int:
         """Room the power table of one ``eval_batch`` block over ``rows``
-        points takes, in units of one coordinate."""
-        return self.nvars * self._batch_tables()[0] * min(rows, _ROW_BLOCK)
+        points (a full block when None) takes, in units of one coordinate."""
+        block = _ROW_BLOCK if rows is None else min(rows, _ROW_BLOCK)
+        return self.nvars * self._batch_tables()[0] * block
 
     def eval_batch(self, points) -> np.ndarray:
         """Values of every polynomial at each row of an (N, nvars) array."""

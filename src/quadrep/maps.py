@@ -23,11 +23,15 @@ exactly, never numerically:
   point; so a value that vanishes modulo every prime vanishes over Z.  The
   first failing point is re-evaluated exactly for the witness.
 
+Builders only prove; ``certify_order`` first tries to disprove the claim,
+by the degree bound and an exact scan of explicit components small enough
+to square, or of any size when the map has no structure node to factor.
+
 Deep compositions in the torsion chain have components too large to expand
 or even to store (the one-level suspension of the order-22 pair would need
-billions of terms), so maps remember their construction as a structure node
-and stay evaluable and certifiable even when their explicit component list
-is out of reach.
+billions of terms), so maps remember their construction as a structure node:
+a map known only by its node is certified by factored expansion and evaluated
+in floating point, but not exactly.
 """
 
 from __future__ import annotations
@@ -150,18 +154,6 @@ class SuspensionNode:
         tail = rr[:, None] * u
         return np.concatenate([head, tail], axis=1)
 
-    def eval_exact(self, point: Sequence[GaussianRational]) -> list[GaussianRational]:
-        m0 = self.f.m
-        z, u = list(point[:m0]), list(point[m0:])
-        t = sum((v * v for v in z), start=GaussianRational(0))
-        s = t + sum((v * v for v in u), start=GaussianRational(0))
-        fv = self.f.eval_exact(z)
-        gv = self.g.eval_exact(z)
-        b1 = self.triple.f_coeff.eval_exact([s, t])
-        b2 = self.triple.g_coeff.eval_exact([s, t])
-        rr = self.triple.u_coeff.eval_exact([s, t])
-        return [b1 * a + b2 * b for a, b in zip(fv, gv)] + [rr * v for v in u]
-
     def per_variable_bounds(self) -> tuple[int, ...]:
         coeff_deg = 2 * (self.triple.order - 1)
         fb = self.f.per_variable_bounds()
@@ -183,9 +175,6 @@ class CompositionNode:
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         return self.outer.eval_batch(self.inner.eval_batch(Z))
 
-    def eval_exact(self, point: Sequence[GaussianRational]) -> list[GaussianRational]:
-        return self.outer.eval_exact(self.inner.eval_exact(point))
-
     def per_variable_bounds(self) -> tuple[int, ...]:
         od = self.outer.max_degree_bound()
         ib = self.inner.per_variable_bounds()
@@ -201,8 +190,8 @@ class PolyMap:
 
     ``components`` is the explicit list of r polynomials when the map is
     small enough to store; ``node`` records how the map was built and keeps
-    large maps evaluable and certifiable without materialized components.
-    At least one of the two is always present.
+    large maps certifiable, and evaluable in floating point, without them.
+    At least one is always present; exact evaluation needs the components.
 
     Maps are immutable and compare by identity; ``certificate`` is set only
     by the builder that proved the order, so factored proofs may cite it.
@@ -263,9 +252,7 @@ class PolyMap:
             out = self.node.eval_batch(Z)
         else:
             evaluator = self.evaluator()
-            # charged like exact evaluation, before the table is allocated
-            if evaluator.batch_cost(len(Z)) > DEFAULT_EXPANSION_BUDGET:
-                raise InfeasibleError(f"batch power tables exceed the expansion budget {DEFAULT_EXPANSION_BUDGET}")
+            check_batch_cost(evaluator, len(Z))
             out = evaluator.eval_batch(Z)
         return out[0] if single else out
 
@@ -273,8 +260,6 @@ class PolyMap:
         pt = [GaussianRational.coerce(v) for v in point]
         if len(pt) != self.m:
             raise DimensionMismatch("point length must match the domain dimension")
-        if self.node is not None:
-            return self.node.eval_exact(pt)
         return self.evaluator().eval_exact(pt)
 
     # ------------------------------------------------------------- bounds
@@ -304,6 +289,13 @@ class PolyMap:
         if self.components is None:
             raise InfeasibleError("jacobian needs materialized components")
         return [[c.derivative(i) for i in range(self.m)] for c in self.components]
+
+
+def check_batch_cost(evaluator: Evaluator, rows: Optional[int] = None):
+    """Refuse a batch power table over ``rows`` points (a full block when
+    None) beyond the expansion budget, before it is allocated."""
+    if evaluator.batch_cost(rows) > DEFAULT_EXPANSION_BUDGET:
+        raise InfeasibleError(f"batch power tables exceed the expansion budget {DEFAULT_EXPANSION_BUDGET}")
 
 
 # -------------------------------------------------------------- b pairing
@@ -375,9 +367,14 @@ def _difference_at(pmap: PolyMap, k: int, point: Sequence[GaussianRational]) -> 
 
 def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[str]:
     points = _refutation_points(pmap.m)
-    # only a fast disproof: skipped when the exact power tables of an
-    # explicit map without structure would outgrow the expansion budget
-    if pmap.node is None and len(points) * pmap.evaluator().power_cost() > budget:
+    # only a fast disproof, on explicit components.  A map too large to
+    # square in full is proved through its structure node, if it has one,
+    # for far less than compiling its components costs.  Skipped too when
+    # the exact power tables would outgrow the budget; they hold d(d+1)/2
+    # for the degree d >= k, which bounds q(p)**k.
+    if pmap.components is None or (pmap.node is not None and _squaring_cost(pmap) > budget):
+        return None
+    if len(points) * pmap.evaluator().power_cost() > budget:
         return None
     for point in points:
         diff = _difference_at(pmap, k, point)
@@ -385,6 +382,11 @@ def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[str]:
             coords = ", ".join(v.canonical_str() for v in point)
             return f"q(f(p)) - q(p)^{k} = {diff.canonical_str()} at p = ({coords})"
     return None
+
+
+def _squaring_cost(pmap: PolyMap) -> int:
+    """Coefficient products of squaring every explicit component."""
+    return sum(len(c) * (len(c) + 1) // 2 for c in pmap.components)
 
 
 def _form_power_cost(m: int, k: int) -> int:
@@ -407,7 +409,7 @@ def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
     """Certificate by exact expansion, factoring through the structure node
     when squaring the components or forming q^k would outgrow the budget."""
     if pmap.components is not None:
-        cost = sum(len(c) * (len(c) + 1) // 2 for c in pmap.components)
+        cost = _squaring_cost(pmap)
         # q^k must fit too; it is not charged, so certificates keep their expanded_products
         if budget.spent + cost + _form_power_cost(pmap.m, k) <= budget.limit:
             budget.charge(cost)
@@ -631,11 +633,13 @@ def certify_order(
 ) -> Certificate:
     """Decide exactly whether q(map(z)) = q(z)^k.
 
-    ``method`` is "auto", "expansion" or "grid".  A cheap exact-evaluation
-    refutation pass runs first in every mode: a single nonzero value is a
-    sound disproof and catches corrupted maps and wrong claimed orders long
-    before any expensive proof work.  A claim above the map's degree bound
-    is refuted before q^k is formed.  The map is not modified.
+    ``method`` is "auto", "expansion" or "grid".  A claim above the map's
+    degree bound is refuted before q^k is formed.  Then, in every mode, an
+    exact scan of the explicit components at four points runs: one nonzero
+    value is a sound disproof and catches corrupted maps and wrong claimed
+    orders long before any expensive proof work.  A map with a structure
+    node and components too large to square skips it: its construction
+    decides the claim.  The map is not modified.
     """
     if k < 0:
         raise ValueError("claimed order must be nonnegative")
@@ -660,7 +664,7 @@ def certify_order(
 def _certified(pmap: PolyMap, what: str) -> PolyMap:
     """Prove ``pmap`` at its own order and attach the certificate: the only
     writer of ``PolyMap.certificate``, so ``_child_cert`` may cite it."""
-    cert = certify_order(pmap, pmap.order, method="expansion")
+    cert = _expansion_cert(pmap, pmap.order, _Budget(DEFAULT_EXPANSION_BUDGET))
     if not cert.verdict:
         raise MapError(f"{what} failed its order certificate: {cert.witness}")
     object.__setattr__(pmap, "certificate", cert)

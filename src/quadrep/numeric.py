@@ -24,6 +24,7 @@ from .maps import (
     PolyMap,
     PreconditionError,
     SuspensionNode,
+    check_batch_cost,
 )
 
 
@@ -303,6 +304,8 @@ class _MapAndJacobian:
         jac = pmap.jacobian()
         self.m, self.r = pmap.m, pmap.r
         self.evaluator = Evaluator([*pmap.components, *(p for row in jac for p in row)])
+        # calls range from one point to whole grids: charge a full block once
+        check_batch_cost(self.evaluator)
 
     def h_and_jacobian(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Retraction composed with the map, and its Jacobian, at real points.

@@ -97,6 +97,22 @@ def test_invariants_hopf(tmp_path, capsys):
     assert abs(report["checks"][0]["value"]) == 1
 
 
+def test_invariants_hopf_charges_batch_tables_before_it_allocates(tmp_path, capsys):
+    # one exponent of 10**6: a full block of power tables is 4 * (10**6 + 1)
+    # * 4096 coordinates, refused before any table is built
+    path = str(tmp_path / "hopf.json")
+    run(capsys, "generate", "pi3_s2:1", "-o", path)
+    doc = json.loads(open(path).read())
+    doc["components"][0][0]["exponents"] = [1000000, 0, 0, 0]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    t0 = time.perf_counter()
+    code, report, err = run(capsys, "invariants", path, "--check", "hopf")
+    assert code == 2 and report is None and "Traceback" not in err
+    assert "batch power tables exceed the expansion budget" in err
+    assert time.perf_counter() - t0 < 20
+
+
 def test_invariants_homotopies(tmp_path, capsys):
     path = str(tmp_path / "hopf.json")
     run(capsys, "generate", "pi3_s2:1", "-o", path)
@@ -325,21 +341,30 @@ def test_lineage_verify_cites_the_rebuilt_certificate(tmp_path, capsys, monkeypa
 
     path = str(tmp_path / "lineage.json")
     run(capsys, "generate", "pi3_s2:7", "-o", path)
-    calls = []
-    real = maps.certify_order
+    calls = {"certify_order": [], "_expansion_cert": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(maps, name)
 
-    monkeypatch.setattr(maps, "certify_order", counted)
-    monkeypatch.setattr(cli, "certify_order", counted)
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    certify = counted("certify_order")
+    monkeypatch.setattr(maps, "certify_order", certify)
+    monkeypatch.setattr(cli, "certify_order", certify)
+    monkeypatch.setattr(maps, "_expansion_cert", counted("_expansion_cert"))
     code, report, _ = run(capsys, "verify", path, "--mode", "exact")
     assert code == 0
     assert report["checks"][0]["method"] == "factored-expansion"
-    # the document (infeasible to expand), then the rebuild's Hopf pair (2),
-    # circle pair (2), suspension and composition; the rebuild is not re-proved
-    assert len(calls) == 7
+    # only the document is verified; the rebuild is proved by its builders and
+    # not re-proved
+    assert len(calls["certify_order"]) == 1
+    # the document (infeasible to expand), then the builders' proofs of the
+    # Hopf pair (2), circle pair (2), suspension and composition
+    assert len(calls["_expansion_cert"]) == 7
 
 
 @pytest.mark.parametrize(
