@@ -23,6 +23,7 @@ import math
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -37,7 +38,7 @@ _FRACTION_ONE = Fraction(1)
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # True is not the rational 1
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -249,6 +250,8 @@ class Polynomial:
     def __new__(cls, nvars: int, terms: dict[Monomial, GaussianRational] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
+        if bool in map(type, chain.from_iterable(terms or ())):
+            raise TypeError("a monomial has a bool exponent")
         clean = {}
         for mono, coeff in (terms or {}).items():
             coeff = GaussianRational.coerce(coeff)
@@ -571,29 +574,34 @@ class _Terms(Mapping):
 
 # ---------------------------------------------------------------- evaluation
 #
-# Every evaluation in the package goes through one compiled form: a list of
-# polynomials in one variable set becomes the union of their monomials (an
-# exponent matrix) and a coefficient table.  The batch backend gathers the
-# monomials of a block of terms from per-variable power tables and multiplies
-# them by the coefficient matrix.  The exact backend works on the stored
-# Gaussian-integer numerators, brought over one denominator for the whole
-# list, so its inner loop is Python int arithmetic and Fractions appear only
-# in the final values.  ``integer_terms`` gives those numerators by monomial,
-# for the modular grid zero test in maps.py.
+# Every evaluation in the package reads one decoded form: a list of
+# polynomials in one variable set becomes the union of their monomials, as
+# exponent tuples in canonical order, one common denominator, each
+# polynomial's Gaussian-integer numerators over it by monomial row, and the
+# largest exponent of each variable followed by the largest degree.  The
+# batch backend takes its float coefficients from it, gathers the monomials
+# of a block of terms from per-variable power tables and multiplies them by
+# the coefficient matrix.  The exact backend evaluates each monomial once,
+# as a product of per-variable power rows padded to the largest degree by
+# powers of the point's denominator, so its inner loop is Python int
+# arithmetic and Fractions appear only in the final values.  Both backends
+# are priced from the maxima alone; ``integer_terms`` gives the numerators
+# by monomial, for the modular grid zero test in maps.py.
 
 _TERM_BLOCK = 128  # monomials gathered per matrix product
 _ROW_BLOCK = 4096  # points per power table; with _TERM_BLOCK it bounds memory
 
 
 class Evaluator:
-    """Polynomials in one variable set, compiled once for evaluation.
+    """Polynomials in one variable set, decoded once for evaluation.
 
     ``eval_batch`` gives an (N, len(polys)) complex array, ``eval_exact``
-    the list of exact values.  Each backend builds its tables on first use,
-    so an evaluator used only exactly never converts a coefficient to float.
+    the list of exact values.  The batch backend builds its float tables on
+    first use, so an evaluator used only exactly never converts a
+    coefficient to float.
     """
 
-    __slots__ = ("nvars", "polys", "_batch", "_exact")
+    __slots__ = ("nvars", "polys", "_decoded", "_batch")
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
@@ -603,30 +611,45 @@ class Evaluator:
             raise ValueError("compiled polynomials must share a variable count")
         self.nvars = nvars
         self.polys = tuple(polys)
+        self._decoded = None
         self._batch = None
-        self._exact = None
+
+    def _decode(self):
+        """(monos, den, rows, maxima): polynomial j is the sum of
+        (re + im*i) * z**monos[t] / den over (t, re, im) in rows[j]; maxima
+        holds the largest exponent of each variable, then the largest degree."""
+        if self._decoded is None:
+            degree = max(p._degree for p in self.polys)
+            width = _width(degree)
+            keyed = [p._at(width) for p in self.polys]
+            keys = sorted(set().union(*keyed), reverse=True)  # canonical order
+            row_of = {key: t for t, key in enumerate(keys)}
+            den = math.lcm(*(p._den for p in self.polys))
+            rows = []
+            for p, num in zip(self.polys, keyed):
+                s = den // p._den
+                rows.append([(row_of[key], re * s, im * s) for key, (re, im) in num.items()])
+            monos = [_monomial(key, width, self.nvars) for key in keys]
+            tops = map(max, zip(*monos)) if monos else [0] * self.nvars
+            self._decoded = (monos, den, rows, (*tops, max(degree, 0)))
+        return self._decoded
 
     # --------------------------------------------------------- batch backend
 
     def _batch_tables(self):
         if self._batch is None:
-            width = _width(max(p._degree for p in self.polys))
-            keyed = [p._at(width) for p in self.polys]
-            keys = sorted(set().union(*keyed), reverse=True)  # canonical order
-            row_of = {key: t for t, key in enumerate(keys)}
-            coeffs = np.zeros((len(keys), len(self.polys)), dtype=complex)
-            for j, (p, num) in enumerate(zip(self.polys, keyed)):
-                for key, (re, im) in num.items():
+            monos, den, rows, maxima = self._decode()
+            coeffs = np.zeros((len(monos), len(rows)), dtype=complex)
+            for j, row in enumerate(rows):
+                for t, re, im in row:
                     # int true division: the float of the exact rational
-                    coeffs[row_of[key], j] = complex(re / p._den, im / p._den)
-            exps = np.array(
-                [_monomial(key, width, self.nvars) for key in keys], dtype=np.intp
-            ).reshape(len(keys), self.nvars)
-            top = int(exps.max(initial=0)) + 1
+                    coeffs[t, j] = complex(re / den, im / den)
+            exps = np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
+            top = max(maxima[:-1], default=0) + 1
             # row of z_i**e in the flattened power table
             at = exps + top * np.arange(self.nvars)
             blocks = []
-            for t0 in range(0, len(keys), _TERM_BLOCK):
+            for t0 in range(0, len(monos), _TERM_BLOCK):
                 sl = slice(t0, t0 + _TERM_BLOCK)
                 active = [at[sl, i] for i in range(self.nvars) if exps[sl, i].any()]
                 blocks.append((active, np.ascontiguousarray(coeffs[sl].T)))
@@ -637,7 +660,7 @@ class Evaluator:
         """Room the power table of one ``eval_batch`` block over ``rows``
         points (a full block when None) takes, in units of one coordinate."""
         block = _ROW_BLOCK if rows is None else min(rows, _ROW_BLOCK)
-        return self.nvars * self._batch_tables()[0] * block
+        return self.nvars * (max(self._decode()[3][:-1], default=0) + 1) * block
 
     def eval_batch(self, points) -> np.ndarray:
         """Values of every polynomial at each row of an (N, nvars) array."""
@@ -670,57 +693,16 @@ class Evaluator:
 
     # --------------------------------------------------------- exact backend
 
-    def _exact_tables(self):
-        if self._exact is None:
-            nvars = self.nvars
-            dmax = max(0, *(p._degree for p in self.polys))
-            # Each monomial value is built as a chain of products along its
-            # nonzero factors, shared between monomials with a common prefix.
-            # The last link multiplies by D**(dmax - degree), with variable
-            # index nvars standing for the point's common denominator D.
-            node_of: dict[tuple, int] = {}
-            steps: list[tuple[int, int, int]] = []
-            maxexp = [0] * nvars + [dmax]
-
-            def link(key: tuple, parent: int, var: int, e: int) -> int:
-                got = node_of.get(key)
-                if got is None:
-                    steps.append((parent, var, e))
-                    got = node_of[key] = len(steps)
-                return got
-
-            def node(mono: Monomial) -> int:
-                key: tuple = ()
-                at = 0
-                for i, e in enumerate(mono):
-                    if e:
-                        key += ((i, e),)
-                        at = link(key, at, i, e)
-                        if e > maxexp[i]:
-                            maxexp[i] = e
-                pad = dmax - sum(mono)
-                if pad:
-                    at = link(key + ((nvars, pad),), at, nvars, pad)
-                return at
-
-            den, terms = self.integer_terms()
-            rows = [[(node(mono), re, im) for mono, re, im in row] for row in terms]
-            self._exact = (steps, rows, maxexp, den, dmax)
-        return self._exact
-
     def integer_terms(self) -> tuple[int, list[list[tuple[Monomial, int, int]]]]:
         """The polynomials over one denominator, as (den, rows): polynomial j
         is the sum of (re + im*i) * z**mono / den over (mono, re, im) in rows[j]."""
-        den = math.lcm(*(p._den for p in self.polys))
-        return den, [
-            [(p._mono(k), re * (den // p._den), im * (den // p._den)) for k, (re, im) in p._num.items()]
-            for p in self.polys
-        ]
+        monos, den, rows, _ = self._decode()
+        return den, [[(monos[t], re, im) for t, re, im in row] for row in rows]
 
     def power_cost(self) -> int:
         """Room the power tables of one ``numerators`` call take, in units
         of one coordinate: the powers a**0 .. a**E of a take E*(E+1)/2."""
-        return sum(e * (e + 1) // 2 for e in self._exact_tables()[2])
+        return sum(e * (e + 1) // 2 for e in self._decode()[3])
 
     def numerators(self, coords: Sequence[tuple[int, int]], denominator: int):
         """Exact values at the point (a_i + b_i*i) / denominator, in ints.
@@ -729,25 +711,29 @@ class Evaluator:
         (values, scale): polynomial j takes the value
         (values[j][0] + values[j][1]*i) / scale.
         """
-        steps, rows, maxexp, den, dmax = self._exact_tables()
+        monos, den, rows, maxima = self._decode()
         powers = []
-        for (a, b), top in zip([*coords, (denominator, 0)], maxexp):
+        for (a, b), top in zip([*coords, (denominator, 0)], maxima):
             re, im = 1, 0
             row = [(1, 0)]
             for _ in range(top):
                 re, im = re * a - im * b, re * b + im * a
                 row.append((re, im))
             powers.append(row)
-        vals = [(1, 0)]
-        for parent, var, e in steps:
-            pr, pi = vals[parent]
-            qr, qi = powers[var][e]
-            vals.append((pr * qr - pi * qi, pr * qi + pi * qr))
+        pad, dmax = powers.pop(), maxima[-1]
+        vals = []
+        for mono in monos:
+            vr, vi = pad[dmax - sum(mono)]
+            for row, e in zip(powers, mono):
+                if e:
+                    qr, qi = row[e]
+                    vr, vi = vr * qr - vi * qi, vr * qi + vi * qr
+            vals.append((vr, vi))
         out = []
-        for terms in rows:
+        for row in rows:
             re = im = 0
-            for at, cr, ci in terms:
-                vr, vi = vals[at]
+            for t, cr, ci in row:
+                vr, vi = vals[t]
                 re += cr * vr - ci * vi
                 im += cr * vi + ci * vr
             out.append((re, im))

@@ -234,7 +234,7 @@ class PolyMap:
     # ---------------------------------------------------------- evaluation
 
     def evaluator(self) -> Evaluator:
-        """The explicit components compiled into one evaluator, built once."""
+        """The explicit components decoded into one evaluator, built once."""
         if self.components is None:
             raise InfeasibleError("compiled evaluation needs materialized components")
         if self._evaluator is None:
@@ -369,9 +369,10 @@ def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[str]:
     points = _refutation_points(pmap.m)
     # only a fast disproof, on explicit components.  A map too large to
     # square in full is proved through its structure node, if it has one,
-    # for far less than compiling its components costs.  Skipped too when
-    # the exact power tables would outgrow the budget; they hold d(d+1)/2
-    # for the degree d >= k, which bounds q(p)**k.
+    # for far less than decoding and evaluating its components costs.
+    # Skipped too when the exact power tables would outgrow the budget,
+    # priced from the decoded maxima before any table is built; they hold
+    # d(d+1)/2 for the degree d >= k, which bounds q(p)**k.
     if pmap.components is None or (pmap.node is not None and _squaring_cost(pmap) > budget):
         return None
     if len(points) * pmap.evaluator().power_cost() > budget:

@@ -124,3 +124,30 @@ def test_fused_map_and_jacobian_equals_separate(data, polys):
         alone = p.eval_batch(Z)
         for n in range(len(Z)):
             assert abs(together[n, j] - alone[n]) <= 1e-12 * reference_complex(p, Z[n])[1]
+
+
+def formula_costs(polys, rows):
+    """(power_cost, batch_cost(rows)) from the per-variable and total degrees."""
+    tops = [max(col) for col in zip(*(p.per_variable_degrees() for p in polys))]
+    dmax = max(0, *(p.degree() for p in polys))
+    power = sum(e * (e + 1) // 2 for e in [*tops, dmax])
+    return power, polys[0].nvars * (max(tops, default=0) + 1) * min(rows, _ROW_BLOCK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys=poly_lists(max_exp=9), rows=st.integers(1, 2 * _ROW_BLOCK))
+def test_prices_read_the_maxima_without_building_tables(polys, rows):
+    evaluator = Evaluator(polys)
+    assert (evaluator.power_cost(), evaluator.batch_cost(rows)) == formula_costs(polys, rows)
+    assert evaluator.batch_cost() == evaluator.batch_cost(_ROW_BLOCK)
+    assert evaluator._batch is None  # no float table was built to price it
+
+
+def test_single_terms_over_distinct_large_denominators():
+    dens = [3**60, 7**41 * 2**5, 2**127 - 1, 10**40 + 1]
+    coeffs = [GaussianRational(Fraction(5**70 + j, d), Fraction(-(11**55) - j, d + 2)) for j, d in enumerate(dens)]
+    polys = [Polynomial(2, {mono: c}) for mono, c in zip([(3, 1), (0, 2), (1, 0), (0, 0)], coeffs)]
+    evaluator = Evaluator(polys)
+    assert evaluator.eval_exact([GaussianRational(1)] * 2) == coeffs
+    values = evaluator.eval_batch(np.ones((1, 2)))[0]
+    assert list(values) == [complex(float(c.re), float(c.im)) for c in coeffs]

@@ -8,7 +8,7 @@ import pytest
 
 from quadrep import exact
 from quadrep.exact import GR_I, GaussianRational, Polynomial, mul_cost
-from quadrep.maps import InfeasibleError, _Budget
+from quadrep.maps import InfeasibleError, _Budget, catalog
 
 
 def random_poly(rng, nvars, max_deg=3, nterms=5, with_imag=True):
@@ -300,6 +300,28 @@ def test_constructor_refuses_bad_exponent_vectors():
             Polynomial(2, {mono: 1})
     with pytest.raises(TypeError):
         Polynomial(2, {(1.0, 0): 1})
+    for mono in [(True, 0), (0, False)]:
+        with pytest.raises(TypeError):
+            Polynomial(2, {mono: 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianRational(True),
+        lambda: GaussianRational(0, False),
+        lambda: GaussianRational.coerce(True),
+        lambda: Polynomial(2, {(1, 0): True}),
+        lambda: Polynomial.constant(2, False),
+        lambda: Polynomial.variable(2, 0) + True,
+        lambda: Polynomial.variable(2, 0).eval_exact([True, 0]),
+        lambda: catalog("pi_n:1,2").eval_exact([True, False]),
+    ],
+    ids=["re", "im", "coerce", "coefficient", "constant", "sum", "point", "map-point"],
+)
+def test_bools_are_not_exact_values(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_derivative():
