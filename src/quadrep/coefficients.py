@@ -15,6 +15,11 @@ and splitting the cofactor as b +- 1/4 yields the triple.
 
 All coefficients of ``series`` are positive, which is the machine-checkable
 witness for the positivity requirement on u_coeff(1, t).
+
+``verify_triple`` decides the identity at s = 1: once every term of u_coeff
+and of f^2 + g^2 = (f + i*g) * (f - i*g) has degree k-1, both sides are
+forms of degree 2k-1, and the term c * s^(2k-1-e) t^e of a form is the
+term c * t^e of its value at s = 1.
 """
 
 from __future__ import annotations
@@ -24,11 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import GR_I, GaussianRational, Polynomial
-
-# variable order for the two-variable polynomials: index 0 is s, index 1 is t
-S_INDEX = 0
-T_INDEX = 1
-
 
 class TripleConstructionError(Exception):
     """The exact division underlying the cofactor left a remainder."""
@@ -103,16 +103,6 @@ def suspension_triple(k: int) -> SuspensionTriple:
     return SuspensionTriple(k, u_coeff, f_coeff, g_coeff, series, cofactor)
 
 
-def triple_identity_difference(triple: SuspensionTriple) -> Polynomial:
-    """Fully expanded LHS - RHS of the defining identity (zero iff it holds)."""
-    k = triple.order
-    s = Polynomial.variable(2, S_INDEX)
-    t = Polynomial.variable(2, T_INDEX)
-    lhs = (t - s) * triple.u_coeff.square() + s ** (2 * k - 1)
-    rhs = t**k * (triple.f_coeff.square() + triple.g_coeff.square())
-    return lhs - rhs
-
-
 def verify_triple(triple: SuspensionTriple):
     """Exact check of the triple identity plus the positivity witness.
 
@@ -122,29 +112,46 @@ def verify_triple(triple: SuspensionTriple):
     """
     from .maps import Certificate
 
-    diff = triple_identity_difference(triple)
+    k = triple.order
     positive = all(
         c.is_real() and c.re > 0 for c in triple.series.terms.values()
-    ) and len(triple.series.terms) == triple.order
+    ) and len(triple.series.terms) == k
+    ig = triple.g_coeff.scale(GR_I)
+    norm = (triple.f_coeff + ig) * (triple.f_coeff - ig)
+    for name, form in (("u", triple.u_coeff), ("f^2 + g^2", norm)):
+        for (i, j), coeff in form:
+            if i + j != k - 1:
+                return Certificate(
+                    claimed_order=k,
+                    method="full-expansion",
+                    verdict=False,
+                    detail={},
+                    witness=f"nonzero term {coeff.canonical_str()} * s^{i} t^{j} of {name} off degree {k - 1}",
+                )
+    t = Polynomial.variable(1, 0)
+    u1 = Polynomial(1, {(j,): coeff for (_, j), coeff in triple.u_coeff})
+    norm1 = Polynomial(1, {(j,): coeff for (_, j), coeff in norm})
+    diff = (t - 1) * u1.square() + 1 - t**k * norm1
     if not diff.is_zero():
-        mono, coeff = diff.leading_term()
+        # the lowest power of t is the form's leading term s^(2k-1-e) t^e
+        (e,), coeff = diff.sorted_terms()[-1]
         return Certificate(
-            claimed_order=triple.order,
+            claimed_order=k,
             method="full-expansion",
             verdict=False,
             detail={"difference_terms": len(diff)},
-            witness=f"nonzero term {coeff.canonical_str()} * s^{mono[0]} t^{mono[1]}",
+            witness=f"nonzero term {coeff.canonical_str()} * s^{2 * k - 1 - e} t^{e}",
         )
     if not positive:
         return Certificate(
-            claimed_order=triple.order,
+            claimed_order=k,
             method="full-expansion",
             verdict=False,
             detail={},
             witness="series coefficient positivity witness failed",
         )
     return Certificate(
-        claimed_order=triple.order,
+        claimed_order=k,
         method="full-expansion",
         verdict=True,
         detail={

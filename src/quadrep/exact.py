@@ -35,6 +35,11 @@ _FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
 
+def _refuse_bool(value, what: str):
+    if isinstance(value, bool):  # True is not the integer 1
+        raise TypeError(f"{what} {value!r} is a bool, not an integer")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -113,6 +118,7 @@ class GaussianRational:
         return GaussianRational._raw(-self.re, -self.im)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
+        _refuse_bool(exponent, "the exponent")
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Gaussian rational powers take nonnegative integer exponents")
         result = GaussianRational._raw(_FRACTION_ONE, _FRACTION_ZERO)
@@ -299,6 +305,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
+        _refuse_bool(index, "the variable index")
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         mono = tuple(int(i == index) for i in range(nvars))
@@ -345,13 +352,13 @@ class Polynomial:
         width, n = _width(self._degree), self.nvars
         return [(_monomial(k, width, n), self._coeff(pair)) for k, pair in sorted(self._num.items(), reverse=True)]
 
-    def term_texts(self) -> list[tuple[Monomial, str, str]]:
-        """``sorted_terms`` with each coefficient as ``str(c.re)``, ``str(c.im)``."""
-        width, n, den = _width(self._degree), self.nvars, self._den
-        return [
-            (_monomial(k, width, n), _fraction_text(re, den), _fraction_text(im, den) if im else "0")
-            for k, (re, im) in sorted(self._num.items(), reverse=True)
-        ]
+    def term_texts(self) -> Iterator[tuple[Monomial, str, str]]:
+        """``sorted_terms`` with each coefficient as ``str(c.re)``, ``str(c.im)``,
+        one term at a time."""
+        width, n, den, num = _width(self._degree), self.nvars, self._den, self._num
+        for k in sorted(num, reverse=True):
+            re, im = num[k]
+            yield _monomial(k, width, n), _fraction_text(re, den), _fraction_text(im, den) if im else "0"
 
     def __iter__(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return iter(self.sorted_terms())
@@ -430,6 +437,7 @@ class Polynomial:
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        _refuse_bool(exponent, "the exponent")
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
         if exponent == 0:

@@ -11,9 +11,10 @@ exactly, never numerically:
 * factored-expansion: for maps built by ``suspend`` or ``compose_maps``,
   reduce the identity to the exact sub-identities of the construction:
   the children's orders, cited from the passing certificates they got when
-  they were built (a child without one is proved), and orthogonality and
-  the two-variable coefficient identity, expanded in full.  The gluing
-  steps are instances of "composition with polynomials is a ring morphism";
+  they were built (a child without one is proved), orthogonality,
+  expanded in full, and the coefficient identity, a form identity in
+  (s, t) decided exactly at s = 1.  The gluing steps are instances of
+  "composition with polynomials is a ring morphism";
 * exact-evaluation: evaluate the difference on a full integer grid with
   per-variable point count exceeding the per-variable degree bound, a sound
   and complete zero test for polynomials.  The numerators N_j = A_j + B_j*i

@@ -29,9 +29,10 @@ class DocumentError(Exception):
 
 
 def document_parts(pmap: PolyMap) -> Iterator[str]:
-    """The canonical document text in pieces (head, one per component, tail),
-    built from the packed terms.  Maps without materialized components (the
-    deep torsion-chain suspensions) are refused before the first piece."""
+    """The canonical document text in pieces (head, each component in slices
+    of terms, tail), built from the packed terms.  Maps without materialized
+    components (the deep torsion-chain suspensions) are refused before the
+    first piece."""
     if pmap.components is None:
         raise InfeasibleError(
             f"map {pmap.label!r} has no materialized components; "
@@ -45,16 +46,28 @@ def document_parts(pmap: PolyMap) -> Iterator[str]:
         f'],"domain_dim":{pmap.m},"format_version":{FORMAT_VERSION},'
         f'"label":{_json(pmap.label)},"order":{_json(pmap.order)}}}\n'
     )
-    pieces = (("," if i else "") + _component_text(comp) for i, comp in enumerate(pmap.components))
+    pieces = (
+        piece for i, comp in enumerate(pmap.components) for piece in _component_text(comp, ",[" if i else "[")
+    )
     return itertools.chain((head,), pieces, (tail,))
 
 
-def _component_text(comp: Polynomial) -> str:
-    terms = [
+SLICE_TERMS = 1024  # terms per emitted piece: one piece's text, not a component's, is held at once
+
+
+def _component_text(comp: Polynomial, opening: str) -> Iterator[str]:
+    """The component's JSON array after ``opening``, in pieces of at most
+    ``SLICE_TERMS`` terms."""
+    terms = (
         f'{{"exponents":[{",".join(map(str, mono))}],"im":"{im}","re":"{re}"}}'
         for mono, re, im in comp.term_texts()
-    ]
-    return "[" + ",".join(terms) + "]"
+    )
+    yield opening
+    separator = ""
+    while piece := ",".join(itertools.islice(terms, SLICE_TERMS)):
+        yield separator + piece
+        separator = ","
+    yield "]"
 
 
 def map_to_document(pmap: PolyMap) -> dict:

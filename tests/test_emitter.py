@@ -7,7 +7,8 @@ a dict with one dict per term, each coefficient spelled by
 from the packed terms; every document it writes must equal the reference
 text byte for byte, for catalog maps (certificate summary), for imported
 documents (stored certificate text) and for labels with quotes,
-backslashes, control characters and non-ASCII text.
+backslashes, control characters and non-ASCII text, and for components
+at the edges of the slices of terms the emitter writes in one piece.
 """
 
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from quadrep.exact import GaussianRational, Polynomial
 from quadrep.maps import PolyMap, catalog
-from quadrep.serialize import FORMAT_VERSION, document_parts, document_to_map, dumps_canonical
+from quadrep.serialize import FORMAT_VERSION, SLICE_TERMS, document_parts, document_to_map, dumps_canonical
 
 # ---------------------------------------------------------- reference builder
 
@@ -70,6 +71,24 @@ SWEEP = (
 @pytest.mark.parametrize("target", SWEEP)
 def test_catalog_documents_match_reference(target):
     assert_same_document(catalog(target))
+
+
+# ------------------------------------------------------------ slice edges
+
+
+def component(n: int) -> Polynomial:
+    return Polynomial(2, {(j, n - j): GaussianRational(Fraction(j + 1, 3), j % 2) for j in range(n)})
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(0,), (1,), (SLICE_TERMS,), (SLICE_TERMS + 1,), (SLICE_TERMS + 1, 0, 1, SLICE_TERMS)],
+    ids=["empty", "one", "slice", "slice+1", "all"],
+)
+def test_slice_edges_match_reference(sizes):
+    pmap = PolyMap.explicit([component(n) for n in sizes], "slices")
+    assert_same_document(pmap)
+    assert max(piece.count('"exponents"') for piece in document_parts(pmap)) == min(max(sizes), SLICE_TERMS)
 
 
 # ---------------------------------------------------------------- generated

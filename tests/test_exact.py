@@ -316,8 +316,11 @@ def test_constructor_refuses_bad_exponent_vectors():
         lambda: Polynomial.variable(2, 0) + True,
         lambda: Polynomial.variable(2, 0).eval_exact([True, 0]),
         lambda: catalog("pi_n:1,2").eval_exact([True, False]),
+        lambda: GaussianRational(3) ** True,
+        lambda: Polynomial.variable(2, 0) ** True,
+        lambda: Polynomial.variable(2, True),
     ],
-    ids=["re", "im", "coerce", "coefficient", "constant", "sum", "point", "map-point"],
+    ids=["re", "im", "coerce", "coefficient", "constant", "sum", "point", "map-point", "power", "poly-power", "index"],
 )
 def test_bools_are_not_exact_values(build):
     with pytest.raises(TypeError):

@@ -181,7 +181,7 @@ def test_order_and_structure_match_reference(case):
     assert a.per_variable_degrees() == tuple(max((m[i] for m in ra), default=0) for i in range(nvars))
     assert a.is_real() == all(im == 0 for _, im in ra.values())
     texts = [(m, str(c.re), str(c.im)) for m, c in a.sorted_terms()]
-    assert a.term_texts() == texts
+    assert list(a.term_texts()) == texts
     if ra:
         mono, coeff = a.leading_term()
         assert (mono, (coeff.re, coeff.im)) == order[0]
