@@ -2,7 +2,8 @@
 
 One command produces one verdict and one JSON report on stdout, so CI
 pipelines can compose generate/verify/invariants without parsing logs.
-Exit codes: 0 pass, 2 usage or format problem, 3 mathematical failure.
+Exit codes: 0 pass, 2 usage or format problem, 3 mathematical failure;
+``main`` alone turns an error into its code.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional
 
 from . import numeric
 from .maps import (
+    DEFAULT_MATERIALIZE_BUDGET,
     CatalogError,
     DimensionMismatch,
     InfeasibleError,
@@ -35,6 +37,10 @@ from .serialize import (
 EXIT_PASS = 0
 EXIT_USAGE = 2
 EXIT_MATH = 3
+# Errors that exit 2: a document that cannot be read, an unknown target, or
+# a request beyond a budget or outside a map's shape or construction.  Every
+# other NumericError or MapError is a mathematical failure and exits 3.
+_USAGE_ERRORS = (DocumentError, CatalogError, InfeasibleError, DimensionMismatch, PreconditionError)
 
 RESIDUAL_TOL = 1e-9
 DEGREE_DEFECT_TOL = 0.05
@@ -64,7 +70,7 @@ def _rebuild_from_lineage(pmap: PolyMap) -> PolyMap:
         raise _Failure(EXIT_USAGE, "document label carries no catalog lineage to rebuild from")
     try:
         rebuilt = catalog(target)
-    except (CatalogError, MapError) as exc:
+    except MapError as exc:
         raise _Failure(EXIT_USAGE, f"cannot rebuild lineage {target!r}: {exc}")
     if rebuilt.components is None or pmap.components != rebuilt.components:
         raise _Failure(
@@ -79,15 +85,7 @@ def _rebuild_from_lineage(pmap: PolyMap) -> PolyMap:
 
 def _cmd_generate(args) -> int:
     t0 = time.time()
-    try:
-        if args.materialize_budget is not None:
-            pmap = catalog(args.target, materialize_budget=args.materialize_budget)
-        else:
-            pmap = catalog(args.target)
-    except (CatalogError, InfeasibleError) as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
-    except MapError as exc:
-        raise _Failure(EXIT_MATH, str(exc))
+    pmap = catalog(args.target, materialize_budget=args.materialize_budget)
     write_document(pmap, args.output)
     _emit(
         {
@@ -104,120 +102,105 @@ def _cmd_generate(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.time()
-    pmap = read_document(args.input)
-    checks = []
-    failed = False
-
-    if args.mode in ("exact", "grid"):
-        if pmap.order is None:
-            raise _Failure(EXIT_USAGE, "document carries no order claim to verify")
-        method = "expansion" if args.mode == "exact" else "grid"
-        try:
-            cert = certify_order(pmap, pmap.order, method=method)
-            note = None
-        except InfeasibleError as exc:
-            if args.mode == "grid":
-                raise _Failure(EXIT_USAGE, f"{exc}; use --mode exact or --mode sampled")
-            rebuilt = _rebuild_from_lineage(pmap)
-            cert = rebuilt.certificate
-            if rebuilt.order != pmap.order:
-                cert = certify_order(rebuilt, pmap.order, method="expansion")
-            note = "components too large for direct expansion; certified the lineage rebuild, which matches the document exactly"
-        failed = not cert.verdict
-        entry = {
+def _check_order(pmap: PolyMap, args) -> list[dict]:
+    if pmap.order is None:
+        raise _Failure(EXIT_USAGE, "document carries no order claim to verify")
+    method = "expansion" if args.mode == "exact" else "grid"
+    try:
+        cert = certify_order(pmap, pmap.order, method=method)
+        note = None
+    except InfeasibleError as exc:
+        if args.mode == "grid":
+            raise _Failure(EXIT_USAGE, f"{exc}; use --mode exact or --mode sampled")
+        rebuilt = _rebuild_from_lineage(pmap)
+        cert = rebuilt.certificate
+        if rebuilt.order != pmap.order:
+            cert = certify_order(rebuilt, pmap.order, method="expansion")
+        note = "components too large for direct expansion; certified the lineage rebuild, which matches the document exactly"
+    return [
+        {
             "name": f"order-{pmap.order}",
             "verdict": "pass" if cert.verdict else "fail",
             "method": cert.method,
             "witness": cert.witness,
             "note": note,
         }
-        checks.append(entry)
-    elif args.mode == "sampled":
-        residual = numeric.quadric_residual_scan(pmap, samples=args.samples, seed=args.seed)
-        ok = residual < RESIDUAL_TOL
-        failed = not ok
-        checks.append(
-            {
-                "name": "quadric-residual-scan",
-                "verdict": "pass" if ok else "fail",
-                "value": residual,
-                "tolerance": RESIDUAL_TOL,
-                "samples": args.samples,
-            }
-        )
-    else:
-        raise _Failure(EXIT_USAGE, f"unknown mode {args.mode!r}")
+    ]
 
-    _emit(
+
+def _check_residual(pmap: PolyMap, args) -> list[dict]:
+    residual = numeric.quadric_residual_scan(pmap, samples=args.samples, seed=args.seed)
+    return [
         {
-            "command": "verify",
-            "input": args.input,
-            "mode": args.mode,
-            "seed": args.seed,
-            "checks": checks,
-            "wall_time_s": round(time.time() - t0, 6),
+            "name": "quadric-residual-scan",
+            "verdict": "pass" if residual < RESIDUAL_TOL else "fail",
+            "value": residual,
+            "tolerance": RESIDUAL_TOL,
+            "samples": args.samples,
         }
-    )
-    return EXIT_MATH if failed else EXIT_PASS
+    ]
 
 
-def _check_degree(pmap: PolyMap, args) -> dict:
+def _check_degree(pmap: PolyMap, args) -> list[dict]:
     if pmap.m == 2 and pmap.r == 2:
         res = numeric.winding_degree(pmap)
-        return {
-            "name": "winding-degree",
-            "verdict": "pass",
-            "value": res.value,
-            "defect": res.defect,
-            "tolerance": WINDING_DEFECT_TOL,
-        }
+        return [
+            {
+                "name": "winding-degree",
+                "verdict": "pass",
+                "value": res.value,
+                "defect": res.defect,
+                "tolerance": WINDING_DEFECT_TOL,
+            }
+        ]
     if pmap.m == 3 and pmap.r == 3:
         res = numeric.sphere_degree(pmap, grid=args.grid)
-        return {
-            "name": "sphere-degree",
+        return [
+            {
+                "name": "sphere-degree",
+                "verdict": "pass",
+                "value": res.value,
+                "defect": res.defect,
+                "tolerance": DEGREE_DEFECT_TOL,
+            }
+        ]
+    raise _Failure(EXIT_USAGE, "degree checks need m = r = 2 (winding) or m = r = 3 (quadrature)")
+
+
+def _check_hopf(pmap: PolyMap, args) -> list[dict]:
+    if pmap.m != 4 or pmap.r != 3:
+        raise _Failure(EXIT_USAGE, "the hopf check needs a map with m = 4, r = 3")
+    res = numeric.hopf_invariant(pmap, seed=args.seed)
+    return [
+        {
+            "name": "hopf-invariant",
             "verdict": "pass",
             "value": res.value,
             "defect": res.defect,
             "tolerance": DEGREE_DEFECT_TOL,
+            "curves": len(res.curves),
         }
-    raise _Failure(EXIT_USAGE, "degree checks need m = r = 2 (winding) or m = r = 3 (quadrature)")
+    ]
 
 
-def _check_hopf(pmap: PolyMap, args) -> dict:
-    if pmap.m != 4 or pmap.r != 3:
-        raise _Failure(EXIT_USAGE, "the hopf check needs a map with m = 4, r = 3")
-    res = numeric.hopf_invariant(pmap, seed=args.seed)
-    return {
-        "name": "hopf-invariant",
-        "verdict": "pass",
-        "value": res.value,
-        "defect": res.defect,
-        "tolerance": DEGREE_DEFECT_TOL,
-        "curves": len(res.curves),
-    }
-
-
-def _check_hemisphere(pmap: PolyMap, args) -> dict:
+def _check_hemisphere(pmap: PolyMap, args) -> list[dict]:
     rebuilt = pmap if pmap.node is not None else _rebuild_from_lineage(pmap)
-    try:
-        res = numeric.hemisphere_check(rebuilt, samples=args.samples, seed=args.seed)
-    except PreconditionError as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
-    return {
-        "name": "hemisphere-preservation",
-        "verdict": "pass" if res.passed else "fail",
-        "max_tail_deviation": res.max_tail_deviation,
-        "min_u_scale": res.min_u_scale,
-        "equator_max": res.equator_max,
-        "sign_violations": res.sign_violations,
-        "tolerance": RESIDUAL_TOL,
-        "note": (
-            "certifies equator/hemisphere sign preservation, the hypothesis of "
-            "the suspension argument, not the homotopy-class conclusion itself"
-        ),
-    }
+    res = numeric.hemisphere_check(rebuilt, samples=args.samples, seed=args.seed)
+    return [
+        {
+            "name": "hemisphere-preservation",
+            "verdict": "pass" if res.passed else "fail",
+            "max_tail_deviation": res.max_tail_deviation,
+            "min_u_scale": res.min_u_scale,
+            "equator_max": res.equator_max,
+            "sign_violations": res.sign_violations,
+            "tolerance": RESIDUAL_TOL,
+            "note": (
+                "certifies equator/hemisphere sign preservation, the hypothesis of "
+                "the suspension argument, not the homotopy-class conclusion itself"
+            ),
+        }
+    ]
 
 
 def _check_homotopies(pmap: PolyMap, args) -> list[dict]:
@@ -246,36 +229,37 @@ def _check_homotopies(pmap: PolyMap, args) -> list[dict]:
     return out
 
 
-def _cmd_invariants(args) -> int:
-    t0 = time.time()
-    pmap = read_document(args.input)
-    try:
-        if args.check == "degree":
-            checks = [_check_degree(pmap, args)]
-        elif args.check == "hopf":
-            checks = [_check_hopf(pmap, args)]
-        elif args.check == "hemisphere":
-            checks = [_check_hemisphere(pmap, args)]
-        elif args.check == "homotopies":
-            checks = _check_homotopies(pmap, args)
-        else:
-            raise _Failure(EXIT_USAGE, f"unknown check {args.check!r}")
-    except (DimensionMismatch, PreconditionError) as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
-    except NumericError as exc:
-        raise _Failure(EXIT_MATH, str(exc))
-    failed = any(c["verdict"] != "pass" for c in checks)
-    _emit(
-        {
-            "command": "invariants",
-            "input": args.input,
-            "check": args.check,
-            "seed": args.seed,
-            "checks": checks,
-            "wall_time_s": round(time.time() - t0, 6),
-        }
-    )
-    return EXIT_MATH if failed else EXIT_PASS
+# --mode and --check values -> the function that runs their checks on a document
+_VERIFY_MODES = {"exact": _check_order, "grid": _check_order, "sampled": _check_residual}
+_INVARIANT_CHECKS = {
+    "degree": _check_degree,
+    "hopf": _check_hopf,
+    "hemisphere": _check_hemisphere,
+    "homotopies": _check_homotopies,
+}
+
+
+def _checks_command(key: str, checks_by_value: dict):
+    """The command that reads a document, runs the checks that its option
+    ``key`` selects from ``checks_by_value`` and reports them; it exits 3
+    when a check fails."""
+
+    def command(args) -> int:
+        t0 = time.time()
+        checks = checks_by_value[getattr(args, key)](read_document(args.input), args)
+        _emit(
+            {
+                "command": args.command,
+                "input": args.input,
+                key: getattr(args, key),
+                "seed": args.seed,
+                "checks": checks,
+                "wall_time_s": round(time.time() - t0, 6),
+            }
+        )
+        return EXIT_MATH if any(c["verdict"] != "pass" for c in checks) else EXIT_PASS
+
+    return command
 
 
 def _cmd_export(args) -> int:
@@ -319,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def sampling(p):
         p.add_argument("--seed", type=_at_least(0), default=0, help="seed for all sampling")
         p.add_argument("--samples", type=_at_least(1), default=10_000, help="sample count for scans")
 
@@ -328,50 +312,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", required=True, help="output document path")
     p_gen.add_argument(
         "--materialize-budget",
-        type=int,
-        default=None,
-        help="raise the coefficient-product budget for explicit components "
-        "(the deep torsion-chain maps need billions of products)",
+        type=_at_least(0),
+        default=DEFAULT_MATERIALIZE_BUDGET,
+        help="coefficient-product budget for the explicit components of every map "
+        "the target is built from (the deep torsion-chain maps need billions of products)",
     )
-    common(p_gen)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_ver = sub.add_parser("verify", help="verify a document's order claim")
     p_ver.add_argument("input", help="map document path")
-    p_ver.add_argument("--mode", choices=("exact", "grid", "sampled"), default="exact")
-    common(p_ver)
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.add_argument("--mode", choices=tuple(_VERIFY_MODES), default="exact")
+    sampling(p_ver)
+    p_ver.set_defaults(func=_checks_command("mode", _VERIFY_MODES))
 
     p_inv = sub.add_parser("invariants", help="numeric invariant checks on a document")
     p_inv.add_argument("input", help="map document path")
-    p_inv.add_argument("--check", choices=("degree", "hopf", "hemisphere", "homotopies"), required=True)
+    p_inv.add_argument("--check", choices=tuple(_INVARIANT_CHECKS), required=True)
     p_inv.add_argument("--grid", type=_parse_grid, default=(400, 200), help="quadrature grid, e.g. 400x200")
-    common(p_inv)
-    p_inv.set_defaults(func=_cmd_invariants)
+    sampling(p_inv)
+    p_inv.set_defaults(func=_checks_command("check", _INVARIANT_CHECKS))
 
     p_exp = sub.add_parser("export", help="re-emit a document in canonical form")
     p_exp.add_argument("input", help="map document path")
     p_exp.add_argument("-o", "--output", required=True, help="output path, or - for stdout")
-    common(p_exp)
     p_exp.set_defaults(func=_cmd_export)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Failure as exc:
+    except (_Failure, DocumentError, NumericError, MapError) as exc:
         print(f"quadrep: {exc}", file=sys.stderr)
-        return exc.code
-    except (DocumentError, InfeasibleError) as exc:
-        print(f"quadrep: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericError, MapError) as exc:
-        print(f"quadrep: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        if isinstance(exc, _Failure):
+            return exc.code
+        return EXIT_USAGE if isinstance(exc, _USAGE_ERRORS) else EXIT_MATH
 
 
 if __name__ == "__main__":

@@ -302,16 +302,19 @@ def check_batch_cost(evaluator: Evaluator, rows: Optional[int] = None):
 # -------------------------------------------------------------- b pairing
 
 
-def bilinear_pairing(f: PolyMap, g: PolyMap, budget: int = DEFAULT_EXPANSION_BUDGET) -> Polynomial:
+def bilinear_pairing(f: PolyMap, g: PolyMap, budget: Optional[_Budget] = None) -> Polynomial:
     """The polynomial sum_j f_j * g_j; f and g are b-orthogonal iff it is zero.
 
-    When both maps are compositions with the same inner map, the pairing is
-    computed on the outer pair and composed afterwards; in particular an
-    outer pairing of zero settles the question without touching the (possibly
-    huge) composed components.
+    Its products are charged to ``budget``, a fresh expansion budget when
+    none is given.  When both maps are compositions with the same inner
+    map, the pairing is computed on the outer pair and composed afterwards;
+    in particular an outer pairing of zero settles the question without
+    touching the (possibly huge) composed components.
     """
     if f.m != g.m or f.r != g.r:
         raise DimensionMismatch("b-pairing needs maps with equal domain and codomain dimensions")
+    if budget is None:
+        budget = _Budget(DEFAULT_EXPANSION_BUDGET)
     if (
         isinstance(f.node, CompositionNode)
         and isinstance(g.node, CompositionNode)
@@ -322,16 +325,14 @@ def bilinear_pairing(f: PolyMap, g: PolyMap, budget: int = DEFAULT_EXPANSION_BUD
             return Polynomial.zero(f.m)
         if f.node.inner.components is None:
             raise InfeasibleError("nonzero outer pairing and no materialized inner components")
-        tracker = _Budget(budget)
-        return outer.compose(f.node.inner.components, tracker)
+        return outer.compose(f.node.inner.components, budget)
     if f.components is None or g.components is None:
         raise InfeasibleError(
             "b-pairing needs materialized components (or a shared composition structure)"
         )
-    tracker = _Budget(budget)
     total = Polynomial.zero(f.m)
     for a, b in zip(f.components, g.components):
-        total = total + charged_mul(a, b, tracker)
+        total = total + charged_mul(a, b, budget)
     return total
 
 
@@ -456,7 +457,7 @@ def _suspension_cert(node: SuspensionNode, k: int, budget: _Budget) -> Certifica
     cert_g = _child_cert(node.g, kc, budget)
     if not cert_g.verdict:
         return Certificate(k, "factored-expansion", False, {"failed": "second factor"}, cert_g.witness)
-    pairing = bilinear_pairing(node.f, node.g, budget.limit - budget.spent)
+    pairing = bilinear_pairing(node.f, node.g, budget)
     if not pairing.is_zero():
         mono, coeff = pairing.leading_term()
         witness = f"b-pairing term {coeff.canonical_str()} * {mono}"
@@ -846,25 +847,20 @@ def constant_map(m: int, r: int) -> PolyMap:
 # ----------------------------------------------------------------- catalog
 
 
-def _hopf_suspension(ell: int) -> PolyMap:
-    f, g = hopf_pair()
-    return suspend(f, g, ell)
-
-
-def _second_stage_pair(f: PolyMap, g: PolyMap) -> tuple[PolyMap, PolyMap]:
+def _second_stage_pair(f: PolyMap, g: PolyMap, materialize_budget: int) -> tuple[PolyMap, PolyMap]:
     """(f1, g1): the Hopf pair (f, g) composed with its one-step suspension;
     order 6."""
-    phi = suspend(f, g, 1)
-    f1 = compose_maps(f, phi)
-    g1 = compose_maps(g, phi)
+    phi = suspend(f, g, 1, materialize_budget)
+    f1 = compose_maps(f, phi, materialize_budget)
+    g1 = compose_maps(g, phi, materialize_budget)
     return f1, g1
 
 
 def _third_stage_pair(materialize_budget: int) -> tuple[PolyMap, PolyMap]:
     """(f2, g2): order-22 pair on C^6 driving the 2-torsion chain."""
     f, g = hopf_pair()
-    f1, g1 = _second_stage_pair(f, g)
-    big_phi = suspend(f1, g1, 1)
+    f1, g1 = _second_stage_pair(f, g, materialize_budget)
+    big_phi = suspend(f1, g1, 1, materialize_budget)
     f2 = compose_maps(f, big_phi, materialize_budget)
     g2 = compose_maps(g, big_phi, materialize_budget)
     return f2, g2
@@ -876,8 +872,9 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
     Targets: ``pi_n:n,d`` (degree-d class of pi_n(S^n)), ``pi_np1:n``
     (n >= 3), ``pi_np2:n`` (n >= 2), ``pi3_s2:d`` (d times the generator of
     pi_3(S^2)), ``pi_np3:n`` (the 2-torsion class construction, n >= 2).
-    Every returned map carries a passing order certificate and a lineage
-    label reproducing its construction.
+    ``materialize_budget`` bounds the explicit components of every map the
+    target is built from.  Every returned map carries a passing order
+    certificate and a lineage label reproducing its construction.
     """
     name, _, argstr = target.partition(":")
     try:
@@ -895,7 +892,7 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
             out = constant_map(n + 1, n + 1)
         else:
             f, g = circle_pair(d)
-            out = f if n == 1 else suspend(f, g, n - 1)
+            out = f if n == 1 else suspend(f, g, n - 1, materialize_budget)
     elif name == "pi_np1":
         if len(args) != 1:
             raise CatalogError("pi_np1 takes one argument: pi_np1:n")
@@ -904,15 +901,15 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
             raise CatalogError("pi_np1:2 is served by pi3_s2 (pi_3(S^2) is infinite cyclic)")
         if n < 3:
             raise CatalogError("pi_np1 needs n >= 3")
-        out = _hopf_suspension(n - 2)
+        out = suspend(*hopf_pair(), n - 2, materialize_budget)
     elif name == "pi_np2":
         if len(args) != 1:
             raise CatalogError("pi_np2 takes one argument: pi_np2:n")
         (n,) = args
         if n < 2:
             raise CatalogError("pi_np2 needs n >= 2")
-        f1, g1 = _second_stage_pair(*hopf_pair())
-        out = f1 if n == 2 else suspend(f1, g1, n - 2)
+        f1, g1 = _second_stage_pair(*hopf_pair(), materialize_budget)
+        out = f1 if n == 2 else suspend(f1, g1, n - 2, materialize_budget)
     elif name == "pi3_s2":
         if len(args) != 1:
             raise CatalogError("pi3_s2 takes one argument: pi3_s2:d")
@@ -921,8 +918,8 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
             out = constant_map(4, 3)
         else:
             f, _ = hopf_pair()
-            inner = catalog(f"pi_n:3,{d}")
-            out = compose_maps(f, inner)
+            inner = catalog(f"pi_n:3,{d}", materialize_budget)
+            out = compose_maps(f, inner, materialize_budget)
     elif name == "pi_np3":
         if len(args) != 1:
             raise CatalogError("pi_np3 takes one argument: pi_np3:n")

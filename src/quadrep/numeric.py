@@ -147,7 +147,7 @@ def retraction_homotopy_residual(m: int, samples: int = 100, tsteps: int = 11, s
     stays at rounding level for every t.
     """
     if m < 2:
-        raise ValueError("need m >= 2")
+        raise DimensionMismatch(f"the retraction homotopy needs a domain of at least 2 variables, got {m}")
     Z = sample_quadric(m, samples, seed)
     x, y = Z.real, Z.imag
     ysq = np.sum(y * y, axis=1)
@@ -192,6 +192,8 @@ def quadric_residual_scan(mapping, samples: int = 10_000, seed: int = 0) -> floa
     for blends it is the primary evidence.
     """
     m = mapping.m
+    if m < 2:
+        raise DimensionMismatch(f"the residual scan needs a domain of at least 2 variables, got {m}")
     n_real = samples // 2
     n_cplx = samples - n_real
     real_pts = sample_sphere(m - 1, n_real, seed).astype(complex)

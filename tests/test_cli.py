@@ -5,9 +5,12 @@ import time
 
 import pytest
 
+from quadrep import cli, maps
 from quadrep.cli import main
-from quadrep.maps import hopf_pair
-from quadrep.serialize import map_to_document
+from quadrep.exact import Polynomial
+from quadrep.maps import PolyMap, hopf_pair
+from quadrep.numeric import NumericError
+from quadrep.serialize import DocumentError, map_to_document
 
 
 def run(capsys, *argv):
@@ -130,6 +133,30 @@ def test_invariants_dimension_guard(tmp_path, capsys):
     assert code == 2
 
 
+def test_sphere_degree_on_a_given_grid(tmp_path, capsys):
+    path = str(tmp_path / "d3.json")
+    run(capsys, "generate", "pi_n:2,3", "-o", path)
+    code, report, _ = run(capsys, "invariants", path, "--check", "degree", "--grid", "200x100")
+    assert code == 0
+    (check,) = report["checks"]
+    assert check["name"] == "sphere-degree" and check["value"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{doc}", "--mode", "sampled"], ["invariants", "{doc}", "--check", "homotopies"]],
+    ids=["sampled", "homotopies"],
+)
+def test_one_variable_document_exits_2(tmp_path, capsys, argv):
+    path = str(tmp_path / "one.json")
+    doc = map_to_document(PolyMap.explicit([Polynomial.variable(1, 0)], "id(1)", order=1))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, report, err = run(capsys, *(a.format(doc=path) for a in argv))
+    assert code == 2 and report is None
+    assert err.startswith("quadrep: ") and "at least 2 variables" in err and "Traceback" not in err
+
+
 def test_export_byte_identity(tmp_path, capsys):
     src = str(tmp_path / "a.json")
     dst = str(tmp_path / "b.json")
@@ -137,6 +164,15 @@ def test_export_byte_identity(tmp_path, capsys):
     code, _, _ = run(capsys, "export", src, "-o", dst)
     assert code == 0
     assert open(src, "rb").read() == open(dst, "rb").read()
+
+
+def test_export_to_stdout_matches_the_file(tmp_path, capsys):
+    src = str(tmp_path / "a.json")
+    dst = tmp_path / "b.json"
+    run(capsys, "generate", "pi_np1:3", "-o", src)
+    assert main(["export", src, "-o", str(dst)]) == 0
+    assert main(["export", src, "-o", "-"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == dst.read_bytes()
 
 
 def test_reports_deterministic(tmp_path, capsys):
@@ -175,6 +211,14 @@ def test_generate_unmaterializable_target(tmp_path, capsys):
     assert code == 2
     assert "materialized" in err or "budget" in err
     assert not path.exists()
+
+
+def test_materialize_budget_reaches_every_target(tmp_path, capsys):
+    # pi_n:2,2 is a suspension; a budget of 0 leaves it without components
+    path = tmp_path / "x.json"
+    code, report, err = run(capsys, "generate", "pi_n:2,2", "-o", str(path), "--materialize-budget", "0")
+    assert code == 2 and report is None
+    assert "no materialized components" in err and not path.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "export"])
@@ -337,8 +381,6 @@ def test_verify_order_at_degree_bound_runs_refutation_scan(tmp_path, capsys):
 
 
 def test_lineage_verify_cites_the_rebuilt_certificate(tmp_path, capsys, monkeypatch):
-    from quadrep import cli, maps
-
     path = str(tmp_path / "lineage.json")
     run(capsys, "generate", "pi3_s2:7", "-o", path)
     calls = {"certify_order": [], "_expansion_cert": []}
@@ -376,6 +418,7 @@ def test_lineage_verify_cites_the_rebuilt_certificate(tmp_path, capsys, monkeypa
         pytest.param(["invariants", "{doc}", "--check", "hemisphere", "--samples", "0"], id="zero-hemisphere-samples"),
         pytest.param(["verify", "{doc}", "--mode", "sampled", "--samples", "-5"], id="negative-samples"),
         pytest.param(["verify", "{doc}", "--mode", "sampled", "--seed", "-1"], id="negative-seed"),
+        pytest.param(["generate", "pi_n:2,2", "-o", "{doc}", "--materialize-budget", "-1"], id="negative-budget"),
     ],
 )
 def test_out_of_range_counts_rejected(tmp_path, capsys, argv):
@@ -386,3 +429,38 @@ def test_out_of_range_counts_rejected(tmp_path, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
+
+
+@pytest.mark.parametrize("option", ["--seed", "--samples"])
+@pytest.mark.parametrize("command", ["generate", "export"])
+def test_sampling_options_only_where_read(tmp_path, capsys, command, option):
+    path = str(tmp_path / "d.json")
+    run(capsys, "generate", "pi_n:1,2", "-o", path)
+    argv = ["generate", "pi_n:1,2"] if command == "generate" else ["export", path]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-o", str(tmp_path / "out.json"), option, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option} 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (DocumentError, 2),
+        (maps.CatalogError, 2),
+        (maps.InfeasibleError, 2),
+        (maps.DimensionMismatch, 2),
+        (maps.PreconditionError, 2),
+        (NumericError, 3),
+        (maps.MapError, 3),
+    ],
+)
+def test_exit_code_table(tmp_path, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "catalog", fail)
+    got, report, err = run(capsys, "generate", "pi_n:1,2", "-o", str(tmp_path / "x.json"))
+    assert got == code and report is None and err == "quadrep: boom\n"

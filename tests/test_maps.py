@@ -1,6 +1,7 @@
 """Map algebra: pairings, order certification, suspension, composition, catalog."""
 
 import dataclasses
+import inspect
 import time
 
 import numpy as np
@@ -367,6 +368,22 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
+@pytest.mark.parametrize("target", ["pi_n:2,2", "pi_np1:3", "pi_np2:3", "pi3_s2:2", "pi_np3:2"])
+def test_catalog_passes_its_budget_to_every_builder(monkeypatch, target):
+    budget = maps.DEFAULT_MATERIALIZE_BUDGET + 1
+    seen = []
+    for name in ("suspend", "compose_maps"):
+        real = getattr(maps, name)
+
+        def recorded(*args, real=real, **kwargs):
+            seen.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("materialize_budget"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(maps, name, recorded)
+    catalog(target, materialize_budget=budget)
+    assert seen and set(seen) == {budget}
+
+
 def test_catalog_proves_each_node_once(monkeypatch):
     certified = _count_calls(monkeypatch, "certify_order")
     expanded = _count_calls(monkeypatch, "_expansion_cert")
@@ -520,6 +537,42 @@ def test_passing_child_certificate_is_cited(monkeypatch, rule):
     k, passing, _ = _CHILD_RULES[rule]
     assert _factored_cert(node, k).summary() == passing
     assert proved == []
+
+
+def _broken_premise(premise):
+    """A structural map whose construction breaks one premise of its
+    factored proof; every other premise holds."""
+    f, g = hopf_pair()
+    triple = suspension_triple(2)
+    if premise == "inner":
+        # the identity of C^4 with one bumped coefficient, claiming order 1
+        inner = corrupt(identity_map(4))
+        inner = PolyMap.explicit(inner.components, "bad-inner", order=1)
+        return PolyMap(m=4, r=3, node=CompositionNode(f, inner), label="bad", order=2)
+    if premise == "second factor":
+        g = PolyMap.explicit(corrupt(g).components, "bad-g", order=2)
+    elif premise == "orthogonality":
+        g = f
+    else:
+        triple = dataclasses.replace(triple, f_coeff=triple.f_coeff + 1)
+    return PolyMap(m=5, r=4, node=SuspensionNode(f, g, triple, 1), label="bad", order=3)
+
+
+@pytest.mark.parametrize("premise", ["second factor", "orthogonality", "coefficient triple", "inner"])
+def test_factored_proof_refuses_a_broken_premise(premise):
+    pmap = _broken_premise(premise)
+    cert = certify_order(pmap, pmap.order, method="expansion")
+    assert cert.verdict is False and cert.method == "factored-expansion"
+    assert cert.detail["failed"] == premise
+    assert cert.witness
+
+
+def test_factored_proof_charges_its_pairing_to_its_budget():
+    budget = maps._Budget(maps.DEFAULT_EXPANSION_BUDGET)
+    cert = maps._suspension_cert(suspend(*hopf_pair(), 1).node, 3, budget)
+    assert cert.verdict
+    # the children are cited; the b-pairing of the Hopf pair costs 20 products
+    assert budget.spent == 20
 
 
 # ------------------------------------------------------------------- blends
