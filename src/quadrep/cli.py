@@ -72,7 +72,9 @@ def _rebuild_from_lineage(pmap: PolyMap) -> PolyMap:
         rebuilt = catalog(target)
     except MapError as exc:
         raise _Failure(EXIT_USAGE, f"cannot rebuild lineage {target!r}: {exc}")
-    if rebuilt.components is None or pmap.components != rebuilt.components:
+    if rebuilt.components is None:
+        raise _Failure(EXIT_USAGE, f"the rebuild of {target!r} is not materialized at the default budget")
+    if pmap.components != rebuilt.components:
         raise _Failure(
             EXIT_MATH,
             f"document components do not match the map rebuilt from {target!r}",

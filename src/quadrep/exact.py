@@ -24,6 +24,7 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
+from re import fullmatch
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -243,6 +244,19 @@ def _fraction_text(n: int, d: int) -> str:
     return int_text(n // g) if g == d else f"{int_text(n // g)}/{int_text(d // g)}"
 
 
+def _parse_rational(text) -> tuple[int, int]:
+    """(numerator, denominator) of a string spelled as ``str(Fraction)``
+    writes; non-canonical forms such as "2/4" or "-0" are read by value (the
+    packed form reduces them), any other value or spelling is refused."""
+    if not isinstance(text, str) or not fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"a coefficient must be a rational string like -3/4, got {text!r}")
+    n, _, d = text.partition("/")
+    n, d = int(n), int(d or 1)  # int refuses more digits than the interpreter's limit
+    if not d:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return n, d
+
+
 class Polynomial:
     """Sparse multivariate polynomial over the Gaussian rationals.
 
@@ -268,15 +282,44 @@ class Polynomial:
                 raise ValueError(f"monomial {mono} is not an exponent vector in {nvars} variables")
             clean[mono] = _pair(coeff)
         den = math.lcm(*(d for _, _, d in clean.values()))
-        width = _width(max(map(sum, clean), default=0))
-        packed = {_key(m, width): (re * (den // d), im * (den // d)) for m, (re, im, d) in clean.items()}
-        return cls._build(nvars, den, packed, width)
+        return cls._pack(nvars, den, list(clean), [(re * (den // d), im * (den // d)) for re, im, d in clean.values()])
+
+    @classmethod
+    def from_term_texts(cls, nvars: int, triples) -> "Polynomial":
+        """The inverse of ``term_texts``: the polynomial of (exponents, re
+        text, im text) triples.  Each distinct text is parsed once.  A bad
+        spelling, a zero denominator, a zero coefficient, a repeated monomial
+        or an exponent that is not a nonnegative int is refused."""
+        monos, texts = [], []
+        for mono, real, imag in triples:
+            monos.append(mono)
+            texts.append((real, imag))
+        values = {text: _parse_rational(text) for text in set(chain.from_iterable(texts))}
+        exponents = list(chain.from_iterable(monos))
+        if {len(m) for m in monos} - {nvars} or set(map(type, exponents)) - {int} or min(exponents, default=0) < 0:
+            raise ValueError(f"an exponent vector is not {nvars} nonnegative ints")
+        den = math.lcm(*(d for _, d in values.values()))
+        scaled = {text: n * (den // d) for text, (n, d) in values.items()}
+        pairs = [(scaled[real], scaled[imag]) for real, imag in texts]
+        if (0, 0) in pairs:
+            raise ValueError("stored coefficients must be nonzero")
+        return cls._pack(nvars, den, monos, pairs)
 
     def __reduce__(self):
         # pickle and copy go through the constructor: a mapping proxy cannot be pickled
         return Polynomial, (self.nvars, dict(self.terms))
 
     # ---------------------------------------------------------------- build
+
+    @classmethod
+    def _pack(cls, nvars: int, den: int, monos: Sequence, pairs: Sequence) -> "Polynomial":
+        """The polynomial with numerator pair ``pairs[t]`` over ``den`` at the
+        checked exponent vector ``monos[t]``; a repeated monomial raises ValueError."""
+        width = _width(max(map(sum, monos), default=0))
+        terms = dict(zip([_key(m, width) for m in monos], pairs))
+        if len(terms) != len(monos):
+            raise ValueError("a monomial is repeated")
+        return cls._build(nvars, den, terms, width)
 
     @classmethod
     def _build(cls, nvars: int, den: int, terms: dict, width: int) -> "Polynomial":

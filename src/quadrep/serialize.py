@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 import stat
-from fractions import Fraction
 from typing import Iterator
 
-from .exact import GaussianRational, Polynomial
+from .exact import Polynomial
 from .maps import InfeasibleError, PolyMap
 
 FORMAT_VERSION = 1
@@ -82,17 +80,6 @@ def _integer(value, what: str, minimum: int) -> int:
     return value
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _rational(value, what: str) -> Fraction:
-    """An exact rational from the canonical string form ``str(Fraction)``
-    writes; a JSON number or any other spelling is refused."""
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
-        raise DocumentError(f"{what} must be a rational string like -3/4, got {value!r}")
-    return Fraction(value)
-
-
 _CERTIFICATE_KEYS = {"claimed_order", "method", "verdict", "detail", "witness"}
 
 
@@ -128,20 +115,10 @@ def document_to_map(doc: dict) -> PolyMap:
         raw_components = doc["components"]
         if len(raw_components) != r:
             raise DocumentError("component count does not match codomain_dim")
-        components = []
-        for raw in raw_components:
-            terms = {}
-            for entry in raw:
-                mono = tuple(entry["exponents"])
-                if len(mono) != m or any(type(e) is not int or e < 0 for e in mono):
-                    raise DocumentError(f"bad exponent vector {entry['exponents']!r}")
-                coeff = GaussianRational(_rational(entry["re"], "re"), _rational(entry["im"], "im"))
-                if coeff.is_zero():
-                    raise DocumentError("stored coefficients must be nonzero")
-                if mono in terms:
-                    raise DocumentError(f"duplicate monomial {mono}")
-                terms[mono] = coeff
-            components.append(Polynomial(m, terms))
+        components = [
+            Polynomial.from_term_texts(m, ((entry["exponents"], entry["re"], entry["im"]) for entry in raw))
+            for raw in raw_components
+        ]
         certs = doc.get("certificates", [])
         if not isinstance(certs, list):
             raise DocumentError("certificates must be a list")

@@ -409,6 +409,38 @@ def test_lineage_verify_cites_the_rebuilt_certificate(tmp_path, capsys, monkeypa
     assert len(calls["_expansion_cert"]) == 7
 
 
+def _relabelled(tmp_path, capsys, target: str, label: str) -> str:
+    path = tmp_path / "relabelled.json"
+    run(capsys, "generate", target, "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["label"] = label
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _unmaterialized_rebuild_exits_2(capsys, argv):
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert "'pi_np3:2'" in err and "not materialized at the default budget" in err
+    assert "do not match" not in err and "Traceback" not in err
+
+
+def test_hemisphere_lineage_without_rebuilt_components_exits_2(tmp_path, capsys):
+    # pi_np3:2 is structural at the default budget: there is nothing to compare
+    path = _relabelled(tmp_path, capsys, "pi_n:1,5", "pi_np3:2 := x")
+    _unmaterialized_rebuild_exits_2(capsys, ["invariants", path, "--check", "hemisphere"])
+
+
+def test_exact_lineage_without_rebuilt_components_exits_2(tmp_path, capsys, monkeypatch):
+    path = _relabelled(tmp_path, capsys, "pi_n:1,5", "pi_np3:2 := x")
+
+    def infeasible(*args, **kwargs):
+        raise maps.InfeasibleError("too large to expand")
+
+    monkeypatch.setattr(cli, "certify_order", infeasible)
+    _unmaterialized_rebuild_exits_2(capsys, ["verify", path, "--mode", "exact"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

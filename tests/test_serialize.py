@@ -2,11 +2,14 @@
 
 import json
 import os
+import re
 import stat
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadrep.cli import main
 from quadrep.exact import GaussianRational, Polynomial
@@ -123,6 +126,138 @@ def test_malformed_documents_rejected(mutate):
     f, _ = hopf_pair()
     doc = json.loads(dumps_canonical(map_to_document(f)))
     mutate(doc)
+    with pytest.raises(DocumentError):
+        document_to_map(doc)
+
+
+# -------------------------------------------------------------- oracle reader
+#
+# The reader as it was before it built the packed form directly: one regex
+# check, one Fraction pair and one GaussianRational per term, then the
+# Polynomial constructor.  The packed reader must accept and refuse exactly
+# the components this one does, with equal results.
+
+
+def _oracle_rational(value, what: str) -> Fraction:
+    if not isinstance(value, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+        raise DocumentError(f"{what} must be a rational string like -3/4, got {value!r}")
+    return Fraction(value)
+
+
+def oracle_component(m: int, raw) -> Polynomial:
+    try:
+        terms = {}
+        for entry in raw:
+            mono = tuple(entry["exponents"])
+            if len(mono) != m or any(type(e) is not int or e < 0 for e in mono):
+                raise DocumentError(f"bad exponent vector {entry['exponents']!r}")
+            coeff = GaussianRational(_oracle_rational(entry["re"], "re"), _oracle_rational(entry["im"], "im"))
+            if coeff.is_zero():
+                raise DocumentError("stored coefficients must be nonzero")
+            if mono in terms:
+                raise DocumentError(f"duplicate monomial {mono}")
+            terms[mono] = coeff
+        return Polynomial(m, terms)
+    except DocumentError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"malformed map document: {exc}") from exc
+
+
+def oracle_components(doc: dict) -> list[Polynomial]:
+    return [oracle_component(doc["domain_dim"], raw) for raw in doc["components"]]
+
+
+_BIG = 10**1100  # numerators past 1000 digits
+
+parts = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-_BIG, _BIG), st.integers(-9, 9).map(lambda k: _BIG + k)),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**40)),
+)
+gaussians = st.builds(GaussianRational, parts, st.one_of(st.just(Fraction(0)), parts))
+
+
+@st.composite
+def polynomials(draw):
+    nvars = draw(st.integers(0, 4))
+    # exponents past 255 give a total degree that needs 16-bit key fields
+    exponent = st.one_of(st.integers(0, 3), st.integers(250, 300))
+    monos = draw(st.lists(st.tuples(*[exponent] * nvars), max_size=8, unique=True))
+    return Polynomial(nvars, {mono: draw(gaussians) for mono in monos})
+
+
+@settings(max_examples=120, deadline=None)
+@given(polynomials())
+@example(Polynomial(0, {(): GaussianRational(Fraction(-2, 4), 3)}))
+@example(Polynomial.constant(2, Fraction(_BIG + 1, 3)))
+@example(Polynomial.zero(1))
+def test_packed_reader_agrees_with_the_oracle(p):
+    texts = list(p.term_texts())
+    got = Polynomial.from_term_texts(p.nvars, texts)
+    entries = [{"exponents": list(mono), "re": re_text, "im": im_text} for mono, re_text, im_text in texts]
+    assert got == oracle_component(p.nvars, entries) == p
+    assert list(got.term_texts()) == texts
+    if p.nvars:
+        pm = PolyMap.explicit([p], "p")
+        assert document_to_map(map_to_document(pm)).components == (p,)
+
+
+def _first_term_set(field: str, value):
+    def mutate(doc):
+        doc["components"][0][0][field] = value
+
+    return mutate
+
+
+def _hopf_document() -> dict:
+    return json.loads(dumps_canonical(map_to_document(hopf_pair()[0])))
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [("re", "2/4"), ("re", "6/3"), ("im", "-0"), ("re", "007"), ("im", "0/5"), ("im", "-9/6"), ("im", "-0/7")],
+)
+def test_non_canonical_spellings_read_by_value_and_export_canonically(field, text):
+    doc = _hopf_document()
+    _first_term_set(field, text)(doc)
+    got = document_to_map(doc)
+    assert list(got.components) == oracle_components(doc)
+    (written,) = (
+        t for t in map_to_document(got)["components"][0] if t["exponents"] == doc["components"][0][0]["exponents"]
+    )
+    assert written[field] == str(Fraction(text))
+
+
+_REFUSED_SPELLINGS = ["1/0", "1.5", "+1", " 1", "1 ", "1/-2", "", "1/", "-", "1_0", "\u0661", 1, 1.5, True, None, [1]]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        *(
+            pytest.param(_first_term_set(field, value), id=f"{field}={value!r}")
+            for field in ("re", "im")
+            for value in _REFUSED_SPELLINGS
+        ),
+        *(pytest.param(_first_term_set(field, "1" * 4301), id=f"{field}=4301-digits") for field in ("re", "im")),
+        pytest.param(_first_term_set("exponents", [True, 1, 0, 0]), id="bool-exponent"),
+        pytest.param(_first_term_set("exponents", [1.0, 1, 0, 0]), id="float-exponent"),
+        pytest.param(_first_term_set("exponents", [2, 0, 0, -1]), id="negative-exponent"),
+        pytest.param(_first_term_set("exponents", "2000"), id="string-exponents"),
+        pytest.param(_first_term_set("exponents", 2), id="int-exponents"),
+        pytest.param(_first_term_set("exponents", [2, 0, 0, 0, 0]), id="wrong-arity"),
+        pytest.param(_first_term_set("re", "-0"), id="zero-coefficient"),
+        pytest.param(lambda d: d["components"][1].append({**d["components"][1][0], "re": "5"}), id="duplicate"),
+        pytest.param(lambda d: d["components"][1][0].pop("im"), id="missing-im"),
+        pytest.param(lambda d: d["components"][1].append(7), id="non-object-term"),
+    ],
+)
+def test_refusals_agree_with_the_oracle(mutate):
+    doc = _hopf_document()
+    mutate(doc)
+    with pytest.raises(DocumentError):
+        oracle_components(doc)
     with pytest.raises(DocumentError):
         document_to_map(doc)
 
