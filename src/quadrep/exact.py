@@ -639,8 +639,9 @@ class _Terms(Mapping):
 # are priced from the maxima alone; ``integer_terms`` gives the numerators
 # by monomial, for the modular grid zero test in maps.py.
 
-_TERM_BLOCK = 128  # monomials gathered per matrix product
-_ROW_BLOCK = 4096  # points per power table; with _TERM_BLOCK it bounds memory
+_TERM_BLOCK = 128  # monomials gathered per matrix product; sets the summation order
+_ROW_BLOCK = 4096  # most points per block
+_GATHER_BYTES = 1 << 19  # one gathered term block stays in cache
 
 
 class Evaluator:
@@ -704,13 +705,21 @@ class Evaluator:
                 sl = slice(t0, t0 + _TERM_BLOCK)
                 active = [at[sl, i] for i in range(self.nvars) if exps[sl, i].any()]
                 blocks.append((active, np.ascontiguousarray(coeffs[sl].T)))
-            self._batch = (top, blocks)
+            self._batch = (top, blocks, self._rows_per_block())
         return self._batch
+
+    def _rows_per_block(self) -> int:
+        """Points per ``eval_batch`` block: the largest power of two up to
+        ``_ROW_BLOCK`` whose gathered term block fits in ``_GATHER_BYTES``.
+        A power of two keeps the groups of points that a BLAS kernel sums
+        together, so every value equals that of a ``_ROW_BLOCK`` block."""
+        fit = _GATHER_BYTES // (16 * max(1, min(len(self._decode()[0]), _TERM_BLOCK)))
+        return min(_ROW_BLOCK, 1 << (fit.bit_length() - 1))
 
     def batch_cost(self, rows: int | None = None) -> int:
         """Room the power table of one ``eval_batch`` block over ``rows``
         points (a full block when None) takes, in units of one coordinate."""
-        block = _ROW_BLOCK if rows is None else min(rows, _ROW_BLOCK)
+        block = min(self._rows_per_block(), _ROW_BLOCK if rows is None else rows)
         return self.nvars * (max(self._decode()[3][:-1], default=0) + 1) * block
 
     def eval_batch(self, points) -> np.ndarray:
@@ -720,11 +729,11 @@ class Evaluator:
             Z = Z[None, :]
         if Z.shape[1] != self.nvars:
             raise ValueError("point array width must match the variable count")
-        top, blocks = self._batch_tables()
+        top, blocks, block = self._batch_tables()
         # points run along the last axis, so a gathered power is a contiguous row
         out = np.zeros((len(self.polys), Z.shape[0]), dtype=complex)
-        for r0 in range(0, Z.shape[0], _ROW_BLOCK):
-            zt = Z[r0 : r0 + _ROW_BLOCK].T
+        for r0 in range(0, Z.shape[0], block):
+            zt = Z[r0 : r0 + block].T
             n = zt.shape[1]
             # powers[i, e] = z_i**e, each power one multiplication from the last
             powers = np.ones((self.nvars, top, n), dtype=complex)

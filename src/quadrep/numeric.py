@@ -489,12 +489,15 @@ def _preimage_curves(
     system = _PreimageSystem(fused, value)
     seeds = sample_sphere(3, n_seeds, seed)
     curves: list[TracedCurve] = []
-    rank_drops = 0
+    rank_drops = overflows = 0
     for raw in seeds:
         try:
             refined = system.newton(raw.copy(), max_iter=80)
         except _RankDrop:
             rank_drops += 1
+            continue
+        except FloatingPointError:
+            overflows += 1  # Newton left the sphere far enough to overflow: the seed fails
             continue
         if refined is None:
             continue
@@ -511,6 +514,9 @@ def _preimage_curves(
     if not curves and rank_drops:
         # every solution hit a Jacobian rank drop: the value is not regular
         raise _RankDrop
+    if not curves and overflows:
+        # seeds lost to overflow may have had preimages, so "none" is not shown
+        raise NumericError(f"the map overflowed from {overflows} of {n_seeds} Newton seeds and no preimage was found")
     return curves
 
 
@@ -605,8 +611,10 @@ def hopf_invariant(
 
     for attempt in range(max_retries):
         try:
-            curves_a = _preimage_curves(fused, v1, seed + attempt)
-            curves_b = _preimage_curves(fused, v2, seed + attempt + 13)
+            # an overflow raises here, before an inf or nan reaches an SVD
+            with np.errstate(over="raise", invalid="raise"):
+                curves_a = _preimage_curves(fused, v1, seed + attempt)
+                curves_b = _preimage_curves(fused, v2, seed + attempt + 13)
             if not curves_a and not curves_b:
                 return HopfResult(0, 0.0, [])
             if not curves_a or not curves_b:
@@ -629,6 +637,8 @@ def hopf_invariant(
             # nudge both values and retry with a fresh seed offset
             rot = _perturbation_rotation(seed + attempt)
             v1, v2 = rot @ v1, rot @ v2
+        except FloatingPointError as exc:
+            raise NumericError(f"the map overflowed while tracing a preimage curve: {exc}") from exc
     raise NumericError("regular-value preimage tracing kept hitting rank drops")
 
 

@@ -102,7 +102,8 @@ def test_invariants_hopf(tmp_path, capsys):
 
 def test_invariants_hopf_charges_batch_tables_before_it_allocates(tmp_path, capsys):
     # one exponent of 10**6: a full block of power tables is 4 * (10**6 + 1)
-    # * 4096 coordinates, refused before any table is built
+    # * 2048 coordinates (13 monomials take 2048-point blocks), refused
+    # before any table is built
     path = str(tmp_path / "hopf.json")
     run(capsys, "generate", "pi3_s2:1", "-o", path)
     doc = json.loads(open(path).read())

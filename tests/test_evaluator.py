@@ -10,10 +10,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrep.exact import _ROW_BLOCK, _TERM_BLOCK, Evaluator, GaussianRational, Polynomial
+from quadrep import exact
+from quadrep.exact import _GATHER_BYTES, _ROW_BLOCK, _TERM_BLOCK, Evaluator, GaussianRational, Polynomial
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -91,15 +93,21 @@ def test_batch_backend_one_row(data, polys):
     assert_close(values, polys, [z])
 
 
+def many_term_polys(seed, nterms, npolys):
+    """``npolys`` polynomials in 3 variables that share ``nterms`` monomials."""
+    rng = random.Random(seed)
+    monos = rng.sample(list(itertools.product(range(10), repeat=3)), nterms)
+    return [
+        Polynomial(3, {m: GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-3, 3)) for m in monos})
+        for _ in range(npolys)
+    ]
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), nterms=st.integers(_TERM_BLOCK + 1, 2 * _TERM_BLOCK + 50))
 def test_batch_backend_several_term_blocks(seed, nterms):
+    [poly] = many_term_polys(seed, nterms, 1)
     rng = random.Random(seed)
-    monos = rng.sample(list(itertools.product(range(10), repeat=3)), nterms)
-    poly = Polynomial(
-        3,
-        {m: GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-3, 3)) for m in monos},
-    )
     Z = np.array([[complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(3)] for _ in range(5)])
     assert_close(poly.eval_batch(Z)[:, None], [poly], Z)
 
@@ -109,6 +117,26 @@ def test_batch_backend_several_row_blocks():
     poly = Polynomial(2, {(3, 1): GaussianRational(Fraction(1, 3), 2), (0, 2): GaussianRational(-5), (0, 0): GaussianRational(0, 1)})
     Z = rng.normal(size=(_ROW_BLOCK + 3, 2)) + 1j * rng.normal(size=(_ROW_BLOCK + 3, 2))
     assert_close(poly.eval_batch(Z)[:, None], [poly], Z)
+
+
+@pytest.mark.parametrize("nterms", [100, _TERM_BLOCK + 40])
+def test_row_block_does_not_change_a_value(monkeypatch, nterms):
+    polys = many_term_polys(5, nterms, 3)
+    evaluator = Evaluator(polys)
+    rows = evaluator._rows_per_block()
+    assert rows == 256  # 100 monomials alone would allow 327 points
+    rng = np.random.default_rng(43)
+    Z = rng.normal(size=(2 * rows + 3, 3)) + 1j * rng.normal(size=(2 * rows + 3, 3))
+    values = evaluator.eval_batch(Z)
+    blocks = [evaluator.eval_batch(Z[r0 : r0 + rows]) for r0 in range(0, len(Z), rows)]
+    assert np.array_equal(values, np.vstack(blocks))
+    # a lone point goes through another BLAS kernel at any row block, so it
+    # agrees only to rounding
+    assert_close(np.vstack([evaluator.eval_batch(z) for z in Z]), polys, Z)
+    monkeypatch.setattr(exact, "_GATHER_BYTES", 16 * _TERM_BLOCK * _ROW_BLOCK)
+    whole = Evaluator(polys)
+    assert whole._rows_per_block() == _ROW_BLOCK
+    assert np.array_equal(values, whole.eval_batch(Z))
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,11 +155,16 @@ def test_fused_map_and_jacobian_equals_separate(data, polys):
 
 
 def formula_costs(polys, rows):
-    """(power_cost, batch_cost(rows)) from the per-variable and total degrees."""
+    """(power_cost, batch_cost(rows)) from the per-variable and total degrees
+    and the number of distinct monomials, which sets the points per block."""
     tops = [max(col) for col in zip(*(p.per_variable_degrees() for p in polys))]
     dmax = max(0, *(p.degree() for p in polys))
     power = sum(e * (e + 1) // 2 for e in [*tops, dmax])
-    return power, polys[0].nvars * (max(tops, default=0) + 1) * min(rows, _ROW_BLOCK)
+    gathered = max(1, min(len(set().union(*(p.terms for p in polys))), _TERM_BLOCK))
+    block = _ROW_BLOCK  # halved until one gathered term block of complex values fits
+    while 16 * gathered * block > _GATHER_BYTES:
+        block //= 2
+    return power, polys[0].nvars * (max(tops, default=0) + 1) * min(rows, block)
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,6 +174,23 @@ def test_prices_read_the_maxima_without_building_tables(polys, rows):
     assert (evaluator.power_cost(), evaluator.batch_cost(rows)) == formula_costs(polys, rows)
     assert evaluator.batch_cost() == evaluator.batch_cost(_ROW_BLOCK)
     assert evaluator._batch is None  # no float table was built to price it
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nterms=st.integers(0, 2 * _TERM_BLOCK + 50),
+    npolys=st.integers(1, 3),
+    rows=st.integers(1, 2 * _ROW_BLOCK),
+)
+def test_batch_price_never_exceeds_the_fixed_block_price(seed, nterms, npolys, rows):
+    # every evaluator was once priced by a fixed block of 4096 points; a
+    # price at or below that one refuses no batch that it accepted
+    polys = many_term_polys(seed, nterms, npolys)
+    evaluator = Evaluator(polys)
+    top = max((max(p.per_variable_degrees()) for p in polys), default=0)
+    assert evaluator.batch_cost(rows) == formula_costs(polys, rows)[1]
+    assert evaluator.batch_cost(rows) <= 3 * (top + 1) * min(rows, 4096)
 
 
 def test_single_terms_over_distinct_large_denominators():

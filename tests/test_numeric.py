@@ -5,7 +5,7 @@ import pytest
 
 from quadrep import maps
 from quadrep.coefficients import SuspensionTriple
-from quadrep.exact import Polynomial
+from quadrep.exact import GaussianRational, Polynomial
 from quadrep.maps import (
     PolyMap,
     PreconditionError,
@@ -291,6 +291,16 @@ def test_hopf_invariant_scales_with_degree():
     base = hopf_invariant(f, seed=0).value
     res = hopf_invariant(catalog("pi3_s2:-1"), seed=0)
     assert res.value == -base
+
+
+def test_hopf_invariant_of_a_map_that_overflows_is_a_numeric_error():
+    # an imaginary coefficient of 10**200 squares past the largest double in
+    # the retraction, so every Newton seed overflows at its first step, and
+    # "no preimage, invariant 0" would be unfounded
+    zs = [Polynomial.variable(4, i) for i in range(4)]
+    big = PolyMap.explicit([(zs[0] * zs[0]).scale(GaussianRational(0, 10**200)), zs[1], zs[2]], "overflow")
+    with pytest.raises(NumericError, match="overflowed from 64 of 64"):
+        hopf_invariant(big, seed=0)
 
 
 # --------------------------------------------------------------- homotopies
