@@ -37,10 +37,10 @@ from .serialize import (
 EXIT_PASS = 0
 EXIT_USAGE = 2
 EXIT_MATH = 3
-# Errors that exit 2: a document that cannot be read, an unknown target, or
-# a request beyond a budget or outside a map's shape or construction.  Every
-# other NumericError or MapError is a mathematical failure and exits 3.
-_USAGE_ERRORS = (DocumentError, CatalogError, InfeasibleError, DimensionMismatch, PreconditionError)
+# Errors that exit 2: an unreadable document, an unknown target, a value
+# beyond the float range, or a request beyond a budget or outside a map's
+# shape or construction.  Every other NumericError or MapError exits 3.
+_USAGE_ERRORS = (DocumentError, CatalogError, OverflowError, InfeasibleError, DimensionMismatch, PreconditionError)
 
 RESIDUAL_TOL = 1e-9
 DEGREE_DEFECT_TOL = 0.05
@@ -346,7 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_Failure, DocumentError, NumericError, MapError) as exc:
+    except (_Failure, DocumentError, OverflowError, NumericError, MapError) as exc:
         print(f"quadrep: {exc}", file=sys.stderr)
         if isinstance(exc, _Failure):
             return exc.code

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from re import fullmatch
 from types import MappingProxyType
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -222,6 +222,7 @@ def _pair(value: GaussianRational) -> tuple[int, int, int]:
 
 
 _TEXT_CHUNK = 10**600  # below the least digit limit the interpreter accepts (640)
+_DIGITS = [str(e) for e in range(256)]  # the text of each one-byte exponent
 
 
 def int_text(n: int) -> str:
@@ -286,8 +287,8 @@ class Polynomial:
 
     @classmethod
     def from_term_texts(cls, nvars: int, triples) -> "Polynomial":
-        """The inverse of ``term_texts``: the polynomial of (exponents, re
-        text, im text) triples.  Each distinct text is parsed once.  A bad
+        """The polynomial of (exponents, re text, im text) triples, as a
+        document spells its terms.  Each distinct text is parsed once.  A bad
         spelling, a zero denominator, a zero coefficient, a repeated monomial
         or an exponent that is not a nonnegative int is refused."""
         monos, texts = [], []
@@ -395,13 +396,21 @@ class Polynomial:
         width, n = _width(self._degree), self.nvars
         return [(_monomial(k, width, n), self._coeff(pair)) for k, pair in sorted(self._num.items(), reverse=True)]
 
-    def term_texts(self) -> Iterator[tuple[Monomial, str, str]]:
-        """``sorted_terms`` with each coefficient as ``str(c.re)``, ``str(c.im)``,
-        one term at a time."""
+    def term_texts(self, spell: Callable[[str, str], str]) -> Iterator[tuple[str, str]]:
+        """The terms in canonical order, one at a time, as the exponents
+        joined by commas and ``spell(str(c.re), str(c.im))``, called once per
+        distinct coefficient c and reused for every term that has it."""
         width, n, den, num = _width(self._degree), self.nvars, self._den, self._num
-        for k in sorted(num, reverse=True):
-            re, im = num[k]
-            yield _monomial(k, width, n), _fraction_text(re, den), _fraction_text(im, den) if im else "0"
+        spelled = {}
+        for key in sorted(num, reverse=True):
+            if width == 8:  # one byte per field: the bytes are the exponents
+                exponents = ",".join(map(_DIGITS.__getitem__, key.to_bytes(n + 1, "big")[1:]))
+            else:
+                exponents = ",".join(map(str, _monomial(key, width, n)))
+            pair = num[key]
+            if pair not in spelled:
+                spelled[pair] = spell(_fraction_text(pair[0], den), _fraction_text(pair[1], den))
+            yield exponents, spelled[pair]
 
     def __iter__(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return iter(self.sorted_terms())
@@ -692,10 +701,13 @@ class Evaluator:
         if self._batch is None:
             monos, den, rows, maxima = self._decode()
             coeffs = np.zeros((len(monos), len(rows)), dtype=complex)
-            for j, row in enumerate(rows):
-                for t, re, im in row:
-                    # int true division: the float of the exact rational
-                    coeffs[t, j] = complex(re / den, im / den)
+            try:
+                for j, row in enumerate(rows):
+                    for t, re, im in row:
+                        # int true division: the float of the exact rational
+                        coeffs[t, j] = complex(re / den, im / den)
+            except OverflowError:
+                raise OverflowError(f"a coefficient is beyond the float range (magnitude {np.finfo(float).max:.6g})") from None
             exps = np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
             top = max(maxima[:-1], default=0) + 1
             # row of z_i**e in the flattened power table
@@ -815,7 +827,9 @@ class Evaluator:
 # Hot path used by every construction in the package.  The operands are
 # already in packed integer form: a product adds keys and multiplies
 # Gaussian-integer numerators, and its denominator is the product of theirs.
-# The result's field width holds the sum of the operands' degrees, which
+# ``sum_of_products`` accumulates a sum of products such as b1*f + b2*g in one
+# map over the common denominator; ``_mul_poly`` is its one-pair case.  The
+# result's field width holds the largest sum of a pair's degrees, which
 # bounds every field of every key sum, so no sum carries from one field into
 # the next; an operand packed narrower is widened once before the loop.
 
@@ -832,17 +846,27 @@ def charged_mul(a: Polynomial, b: Polynomial, budget) -> Polynomial:
     return _mul_poly(a, b)
 
 
-def _mul_poly(a: Polynomial, b: Polynomial) -> Polynomial:
-    if not a._num or not b._num:
-        return Polynomial.zero(a.nvars)
-    if len(a) > len(b):
-        a, b = b, a
-    width = _width(a._degree + b._degree)
-    items = [(k, re, im) for k, (re, im) in b._at(width).items()]
+def sum_of_products(pairs: Sequence[tuple[Polynomial, Polynomial]], budget=None) -> Polynomial:
+    """The sum of a * b over the (a, b) in ``pairs``, after charging the
+    ``mul_cost`` of every product to ``budget`` (None charges nothing)."""
+    if budget is not None:
+        for a, b in pairs:
+            budget.charge(mul_cost(a, b))
+    nvars = pairs[0][0].nvars
+    pairs = [(a, b) if len(a) <= len(b) else (b, a) for a, b in pairs if a._num and b._num]
+    width = _width(max((a._degree + b._degree for a, b in pairs), default=0))
+    den = math.lcm(*(a._den * b._den for a, b in pairs))
     acc: dict[int, list] = {}
-    for ka, (ra, ia) in a._at(width).items():
-        _accumulate(acc, ka, ra, ia, items)
-    return _collect(a.nvars, a._den * b._den, acc, width)
+    for a, b in pairs:
+        s = den // (a._den * b._den)
+        items = [(k, re, im) for k, (re, im) in b._at(width).items()]
+        for ka, (ra, ia) in a._at(width).items():
+            _accumulate(acc, ka, ra * s, ia * s, items)
+    return _collect(nvars, den, acc, width)
+
+
+def _mul_poly(a: Polynomial, b: Polynomial) -> Polynomial:
+    return sum_of_products(((a, b),))
 
 
 def _square_poly(p: Polynomial) -> Polynomial:

@@ -47,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import GR_I, Evaluator, GaussianRational, Polynomial, charged_mul, int_text
+from .exact import GR_I, Evaluator, GaussianRational, Polynomial, int_text, sum_of_products
 
 # Product-count budget for a single full expansion, and point budget for the
 # grid zero test.  Both are deliberate ceilings: beyond them the factored
@@ -330,10 +330,7 @@ def bilinear_pairing(f: PolyMap, g: PolyMap, budget: Optional[_Budget] = None) -
         raise InfeasibleError(
             "b-pairing needs materialized components (or a shared composition structure)"
         )
-    total = Polynomial.zero(f.m)
-    for a, b in zip(f.components, g.components):
-        total = total + charged_mul(a, b, budget)
-    return total
+    return sum_of_products(list(zip(f.components, g.components)), budget)
 
 
 # ---------------------------------------------------------- certification
@@ -695,13 +692,10 @@ def _materialize_suspension(node: SuspensionNode, budget_limit: int) -> Optional
         b1 = triple.f_coeff.compose([s_poly, t_poly], budget)
         b2 = triple.g_coeff.compose([s_poly, t_poly], budget)
         rr = triple.u_coeff.compose([s_poly, t_poly], budget)
-        comps = []
-        for fj, gj in zip(f.components, g.components):
-            fe, ge = fj.extend(m), gj.extend(m)
-            comps.append(charged_mul(b1, fe, budget) + charged_mul(b2, ge, budget))
-        for i in range(ell):
-            comps.append(charged_mul(rr, Polynomial.variable(m, f.m + i), budget))
-        return comps
+        # each component is one sum of products: b1*f_j + b2*g_j, then rr*u_i
+        sums = [((b1, fj.extend(m)), (b2, gj.extend(m))) for fj, gj in zip(f.components, g.components)]
+        sums += [((rr, Polynomial.variable(m, f.m + i)),) for i in range(ell)]
+        return [sum_of_products(pairs, budget) for pairs in sums]
     except InfeasibleError:
         return None
 

@@ -51,15 +51,13 @@ def document_parts(pmap: PolyMap) -> Iterator[str]:
 
 
 SLICE_TERMS = 1024  # terms per emitted piece: one piece's text, not a component's, is held at once
+_TERM_TAIL = '],"im":"{1}","re":"{0}"}}'.format  # a term's text after its exponents, from (re, im)
 
 
 def _component_text(comp: Polynomial, opening: str) -> Iterator[str]:
     """The component's JSON array after ``opening``, in pieces of at most
     ``SLICE_TERMS`` terms."""
-    terms = (
-        f'{{"exponents":[{",".join(map(str, mono))}],"im":"{im}","re":"{re}"}}'
-        for mono, re, im in comp.term_texts()
-    )
+    terms = ('{"exponents":[' + exponents + tail for exponents, tail in comp.term_texts(_TERM_TAIL))
     yield opening
     separator = ""
     while piece := ",".join(itertools.islice(terms, SLICE_TERMS)):

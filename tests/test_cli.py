@@ -158,6 +158,28 @@ def test_one_variable_document_exits_2(tmp_path, capsys, argv):
     assert err.startswith("quadrep: ") and "at least 2 variables" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("pi_n:4,2", ["verify", "--mode", "sampled"]),
+        ("pi3_s2:1", ["invariants", "--check", "hopf"]),
+        ("pi_n:2,2", ["invariants", "--check", "degree"]),
+    ],
+    ids=["sampled", "hopf", "degree"],
+)
+def test_coefficient_beyond_the_float_range_exits_2(tmp_path, capsys, target, argv):
+    path = str(tmp_path / "big.json")
+    run(capsys, "generate", target, "-o", path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["components"][0][0]["re"] = "1" + "0" * 400
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, report, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and report is None
+    assert err.startswith("quadrep: ") and "float range (magnitude 1.79769e+308)" in err
+
+
 def test_export_byte_identity(tmp_path, capsys):
     src = str(tmp_path / "a.json")
     dst = str(tmp_path / "b.json")

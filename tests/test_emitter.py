@@ -9,18 +9,33 @@ text byte for byte, for catalog maps (certificate summary), for imported
 documents (stored certificate text) and for labels with quotes,
 backslashes, control characters and non-ASCII text, and for components
 at the edges of the slices of terms the emitter writes in one piece.
+
+``oracle_component_text`` keeps the former per-term emitter: every term
+decoded to an exponent tuple and spelled by two ``_fraction_text`` calls.
+The emitter spells each distinct coefficient of a component once and
+decodes one-byte keys through a digit table; its pieces must equal the
+oracle's for either key width, shared, imaginary-only and constant
+coefficients, and numerators past the interpreter's digit limit.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadrep.exact import GaussianRational, Polynomial
+from quadrep.exact import GaussianRational, Polynomial, _fraction_text, _monomial, _width
 from quadrep.maps import PolyMap, catalog
-from quadrep.serialize import FORMAT_VERSION, SLICE_TERMS, document_parts, document_to_map, dumps_canonical
+from quadrep.serialize import (
+    FORMAT_VERSION,
+    SLICE_TERMS,
+    _component_text,
+    document_parts,
+    document_to_map,
+    dumps_canonical,
+)
 
 # ---------------------------------------------------------- reference builder
 
@@ -142,3 +157,74 @@ def test_imported_certificates_match_reference(pmap, certificates):
     doc["certificates"] = certificates
     imported = document_to_map(doc)
     assert emitted(imported) == dumps_canonical(reference_document(imported)) == dumps_canonical(doc)
+
+
+# ----------------------------------------------------------- per-term oracle
+
+
+def oracle_term_texts(p: Polynomial):
+    width, n, den, num = _width(p._degree), p.nvars, p._den, p._num
+    for k in sorted(num, reverse=True):
+        re, im = num[k]
+        yield _monomial(k, width, n), _fraction_text(re, den), _fraction_text(im, den) if im else "0"
+
+
+def oracle_component_text(comp: Polynomial, opening: str):
+    terms = (
+        f'{{"exponents":[{",".join(map(str, mono))}],"im":"{im}","re":"{re}"}}'
+        for mono, re, im in oracle_term_texts(comp)
+    )
+    yield opening
+    separator = ""
+    while piece := ",".join(itertools.islice(terms, SLICE_TERMS)):
+        yield separator + piece
+        separator = ","
+    yield "]"
+
+
+LONG = 10**4400  # past the default digit limit of str(int): int_text's chunked path
+numerators = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30), st.integers(-9, 9).map(lambda k: LONG + k))
+parts = st.builds(Fraction, numerators, st.integers(1, 10**6))
+shared = st.one_of(
+    st.builds(GaussianRational, parts, parts),
+    st.builds(GaussianRational, parts),
+    st.builds(lambda im: GaussianRational(0, im), parts),  # imaginary only
+)
+
+
+@st.composite
+def components(draw):
+    nvars = draw(st.integers(0, 4))
+    # exponents past 255 give a total degree that needs two-byte key fields
+    exponent = st.one_of(st.integers(0, 3), st.integers(250, 300))
+    monos = draw(st.lists(st.tuples(*[exponent] * nvars), max_size=40, unique=True))
+    pool = draw(st.lists(shared, min_size=1, max_size=3))  # few coefficients: many terms share one
+    return Polynomial(nvars, {mono: draw(st.sampled_from(pool)) for mono in monos})
+
+
+def assert_same_pieces(comp: Polynomial):
+    for opening in ("[", ",["):
+        assert list(_component_text(comp, opening)) == list(oracle_component_text(comp, opening))
+
+
+@settings(max_examples=200, deadline=None)
+@given(components())
+@example(Polynomial.zero(2))
+@example(Polynomial.zero(0))
+@example(Polynomial.constant(3, GaussianRational(Fraction(-5, 7), 2)))
+@example(Polynomial.constant(0, GaussianRational(0, Fraction(LONG + 1, 3))))
+@example(Polynomial(2, {(70000, 1): GaussianRational(0, 1), (0, 0): 1}))  # three-byte key fields
+@example(Polynomial(2, {(255, 0): 1, (250, 5): GaussianRational(0, 1), (0, 0): 1}))  # the widest one-byte field
+def test_emitter_pieces_match_the_per_term_oracle(comp):
+    assert_same_pieces(comp)
+
+
+@pytest.mark.parametrize("degree", [100, 300], ids=["one-byte", "two-byte"])
+def test_shared_coefficient_across_slices_matches_the_oracle(degree):
+    # 2 * SLICE_TERMS + 1 terms, two distinct coefficients
+    comp = Polynomial(
+        3,
+        {(i, j, degree - i - j): GaussianRational(Fraction(1, 3), i % 2) for i in range(41) for j in range(50)},
+    )
+    assert len(comp) == 2050
+    assert_same_pieces(comp)

@@ -650,3 +650,20 @@ def test_three_routes_reject_corruption():
     for method in ("expansion", "grid"):
         cert = certify_order(bad, 3, method=method)
         assert not cert.verdict and cert.witness
+
+
+@pytest.mark.parametrize("target", ["pi_n:2,2", "pi_n:3,-2", "pi_np1:4", "pi_np1:6"])
+def test_suspension_materializes_at_exactly_its_cost(target, monkeypatch):
+    node = catalog(target).node
+    budgets = []
+
+    class Recorded(maps._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(maps, "_Budget", Recorded)
+    comps = maps._materialize_suspension(node, maps.DEFAULT_MATERIALIZE_BUDGET)
+    cost = budgets[-1].spent
+    assert comps == maps._materialize_suspension(node, cost)
+    assert maps._materialize_suspension(node, cost - 1) is None

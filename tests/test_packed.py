@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrep.exact import GaussianRational, Polynomial
+from quadrep import exact
+from quadrep.exact import GaussianRational, Polynomial, charged_mul, mul_cost, sum_of_products
 from quadrep.maps import InfeasibleError, _Budget
 
 # ------------------------------------------------------------ reference kernel
@@ -152,6 +153,41 @@ def test_compose_matches_reference_and_its_charges(data):
             outer.compose(args, _Budget(products - 1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sum_of_products_matches_the_separate_products_and_their_charges(data):
+    count = data.draw(st.integers(1, 3))
+    nvars, terms = data.draw(poly_sets(2 * count))
+    polys = [packed(nvars, t) for t in terms]
+    pairs = list(zip(polys[::2], polys[1::2]))
+    if data.draw(st.booleans()):
+        a, b = pairs[0]
+        pairs.append((-a, b))  # cancels the first product term for term
+    separate, kernel = _Budget(10**9), _Budget(10**9)
+    want = Polynomial.zero(nvars)
+    for a, b in pairs:
+        want = want + charged_mul(a, b, separate)
+    ref_want = {}
+    for a, b in pairs:
+        ref_want = ref_add(ref_want, ref_mul(ref(a), ref(b)))
+    got = sum_of_products(pairs, kernel)
+    assert got == want
+    assert ref(got) == ref_want
+    assert kernel.spent == separate.spent
+
+
+def test_sum_of_products_over_budget_forms_no_product(monkeypatch):
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    pairs = [(x + y, x - y), (x.scale(Fraction(1, 3)) + 1, y + GaussianRational(0, 2))]
+    cost = sum(mul_cost(a, b) for a, b in pairs)
+    products = []
+    monkeypatch.setattr(exact, "_accumulate", lambda *args: products.append(args))
+    # the budget holds the first product but not both
+    with pytest.raises(InfeasibleError):
+        sum_of_products(pairs, _Budget(cost - 1))
+    assert products == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(poly_sets(1), st.integers(0, 2), st.data())
 def test_extend_and_derivative_match_reference(case, extra, data):
@@ -180,8 +216,8 @@ def test_order_and_structure_match_reference(case):
     assert a.degree() == max((sum(m) for m in ra), default=-1)
     assert a.per_variable_degrees() == tuple(max((m[i] for m in ra), default=0) for i in range(nvars))
     assert a.is_real() == all(im == 0 for _, im in ra.values())
-    texts = [(m, str(c.re), str(c.im)) for m, c in a.sorted_terms()]
-    assert list(a.term_texts()) == texts
+    texts = [(",".join(map(str, m)), (str(c.re), str(c.im))) for m, c in a.sorted_terms()]
+    assert list(a.term_texts(lambda re, im: (re, im))) == texts
     if ra:
         mono, coeff = a.leading_term()
         assert (mono, (coeff.re, coeff.im)) == order[0]
