@@ -679,12 +679,6 @@ def _materialize_suspension(node: SuspensionNode, budget_limit: int) -> Optional
     if f.components is None or g.components is None:
         return None
     m = f.m + ell
-    # cheap lower bound before doing real work: the substituted coefficient
-    # polynomials are supported on squared monomials of degree <= k-1
-    support = math.comb(triple.order - 1 + m, m)
-    tmax = max(max(len(c) for c in f.components), max(len(c) for c in g.components), 1)
-    if support * max(tmax, support) > budget_limit:
-        return None
     try:
         budget = _Budget(budget_limit)
         s_poly = quadratic_form(m)

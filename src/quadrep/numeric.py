@@ -559,21 +559,26 @@ def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
     """Gauss double integral for two closed polylines in R^3.
 
     L = (1/4pi) sum over segment pairs of (m_a - m_b) . (d_a x d_b) / |m_a - m_b|^3
-    with segment midpoints m and segment vectors d.
+    with segment midpoints m and segment vectors d.  Each block of 256 rows
+    of the pair matrix takes three matrix products, by the identities
+    (m_a - m_b) . (d_a x d_b) = (m_a x d_a) . d_b + d_a . (m_b x d_b) and
+    |m_a - m_b|^2 = |m_a|^2 + |m_b|^2 - 2 m_a . m_b.  L is translation
+    invariant, so both curves are first centred on their joint centroid: far
+    from the origin |m|^2 would swamp |m_a - m_b|^2 in the second identity.
     """
+    centre = np.concatenate([curve_a, curve_b]).mean(axis=0)
     da = np.roll(curve_a, -1, axis=0) - curve_a
     db = np.roll(curve_b, -1, axis=0) - curve_b
-    ma = curve_a + da / 2
-    mb = curve_b + db / 2
+    ma = curve_a - centre + da / 2
+    mb = curve_b - centre + db / 2
+    ca, cb = np.cross(ma, da), np.cross(mb, db)
+    sa, sb = np.sum(ma * ma, axis=1), np.sum(mb * mb, axis=1)
     total = 0.0
-    rows = 256
-    for i0 in range(0, len(ma), rows):
-        sl = slice(i0, min(i0 + rows, len(ma)))
-        diff = ma[sl][:, None, :] - mb[None, :, :]
-        cross = np.cross(da[sl][:, None, :], db[None, :, :])
-        num = np.einsum("abi,abi->ab", diff, cross)
-        dist = np.linalg.norm(diff, axis=2)
-        total += float(np.sum(num / dist**3))
+    for i0 in range(0, len(ma), 256):
+        sl = slice(i0, i0 + 256)
+        num = ca[sl] @ db.T + da[sl] @ cb.T
+        r2 = sa[sl, None] + sb - 2 * (ma[sl] @ mb.T)
+        total += float(np.sum(num / (r2 * np.sqrt(r2))))
     return total / (4 * np.pi)
 
 

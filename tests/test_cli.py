@@ -244,6 +244,28 @@ def test_materialize_budget_reaches_every_target(tmp_path, capsys):
     assert "no materialized components" in err and not path.exists()
 
 
+def test_materialize_budget_admits_exactly_the_cost(tmp_path, capsys, monkeypatch):
+    # the budget one materialization of pi_np2:4's top suspension spends
+    budgets = []
+
+    class Recorded(maps._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, "_Budget", Recorded)
+        maps._materialize_suspension(maps.catalog("pi_np2:4").node, maps.DEFAULT_MATERIALIZE_BUDGET)
+    cost = budgets[-1].spent
+    path = tmp_path / "x.json"
+    code, report, _ = run(capsys, "generate", "pi_np2:4", "-o", str(path), "--materialize-budget", str(cost))
+    assert code == 0 and report["order"] == 11 and path.exists()
+    path.unlink()
+    code, report, err = run(capsys, "generate", "pi_np2:4", "-o", str(path), "--materialize-budget", str(cost - 1))
+    assert code == 2 and report is None
+    assert "no materialized components" in err and not path.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "export"])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_output_exits_2(tmp_path, capsys, command, where):

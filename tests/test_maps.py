@@ -652,7 +652,7 @@ def test_three_routes_reject_corruption():
         assert not cert.verdict and cert.witness
 
 
-@pytest.mark.parametrize("target", ["pi_n:2,2", "pi_n:3,-2", "pi_np1:4", "pi_np1:6"])
+@pytest.mark.parametrize("target", ["pi_n:2,2", "pi_n:3,-2", "pi_np1:4", "pi_np1:6", "pi_np2:4"])
 def test_suspension_materializes_at_exactly_its_cost(target, monkeypatch):
     node = catalog(target).node
     budgets = []

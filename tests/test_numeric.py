@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrep import maps
+from quadrep import maps, numeric
 from quadrep.coefficients import SuspensionTriple
 from quadrep.exact import GaussianRational, Polynomial
 from quadrep.maps import (
@@ -238,6 +240,90 @@ def test_gauss_linking_standard_circles():
     assert abs(abs(gauss_linking(a, b)) - 1) < 1e-3
     far = b + np.array([10.0, 0, 0])
     assert abs(gauss_linking(a, far)) < 1e-3
+
+
+def direct_gauss_linking(curve_a, curve_b):
+    """Oracle: the Gauss sum with the midpoint differences formed directly."""
+    da = np.roll(curve_a, -1, axis=0) - curve_a
+    db = np.roll(curve_b, -1, axis=0) - curve_b
+    ma = curve_a + da / 2
+    mb = curve_b + db / 2
+    total = 0.0
+    rows = 256
+    for i0 in range(0, len(ma), rows):
+        sl = slice(i0, min(i0 + rows, len(ma)))
+        diff = ma[sl][:, None, :] - mb[None, :, :]
+        cross = np.cross(da[sl][:, None, :], db[None, :, :])
+        num = np.einsum("abi,abi->ab", diff, cross)
+        dist = np.linalg.norm(diff, axis=2)
+        total += float(np.sum(num / dist**3))
+    return total / (4 * np.pi)
+
+
+def test_gauss_linking_matches_direct_sum_on_hopf_curves(monkeypatch):
+    seen = []
+
+    def recorded(a, b):
+        seen.append((a, b))
+        return gauss_linking(a, b)
+
+    monkeypatch.setattr(numeric, "gauss_linking", recorded)
+    assert abs(hopf_invariant(catalog("pi3_s2:1"), seed=1).value) == 1
+    assert seen
+    for a, b in seen:
+        assert abs(gauss_linking(a, b) - direct_gauss_linking(a, b)) < 1e-9
+
+
+@pytest.mark.parametrize("shift", [0.0, 100.0])
+@pytest.mark.parametrize("linked", [True, False])
+@pytest.mark.parametrize("gap", [1.0, 0.1, 0.01])
+def test_gauss_linking_matches_direct_sum_on_circles(gap, linked, shift):
+    # unit circles in perpendicular planes whose closest points are gap apart
+    t = np.linspace(0, 2 * np.pi, 400, endpoint=False)
+    a = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1) + shift
+    centre = 2 - gap if linked else 2 + gap
+    b = np.stack([centre + np.cos(t), np.zeros_like(t), np.sin(t)], axis=1) + shift
+    assert abs(gauss_linking(a, b) - direct_gauss_linking(a, b)) < 1e-9
+
+
+@st.composite
+def polyline_pairs(draw):
+    """Two jittered unit circles in perpendicular planes, linked or side by
+    side.  The circles are 1 apart; a chord of at most 1.3 rad sags < 0.2
+    and the jitter moves a vertex < 0.18, so the polylines stay > 0.2 apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jitter = draw(st.floats(0.0, 0.1))
+    centre = 1.0 if draw(st.booleans()) else 3.0
+
+    def circle(n, embed):
+        t = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n) + rng.uniform()) / n
+        return embed(np.cos(t), np.sin(t)) + jitter * rng.uniform(-1, 1, (n, 3))
+
+    a = circle(draw(st.integers(8, 64)), lambda c, s: np.stack([c, s, 0 * c], axis=1))
+    b = circle(draw(st.integers(8, 64)), lambda c, s: np.stack([centre + c, 0 * c, s], axis=1))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyline_pairs())
+def test_gauss_linking_is_symmetric(curves):
+    a, b = curves
+    assert abs(gauss_linking(a, b) - gauss_linking(b, a)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyline_pairs())
+def test_gauss_linking_reversal_negates(curves):
+    a, b = curves
+    assert abs(gauss_linking(a[::-1], b) + gauss_linking(a, b)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyline_pairs(), st.lists(st.floats(-100, 100), min_size=3, max_size=3))
+def test_gauss_linking_is_translation_invariant(curves, offset):
+    a, b = curves
+    v = np.array(offset)
+    assert abs(gauss_linking(a + v, b + v) - gauss_linking(a, b)) < 1e-12
 
 
 def test_hopf_invariant_of_hopf_map():
