@@ -326,7 +326,7 @@ class Polynomial:
     def _build(cls, nvars: int, den: int, terms: dict, width: int) -> "Polynomial":
         """Nonzero numerator pairs over ``den``, keyed at ``width``, stored in
         canonical form: den reduced, keys at the width of the degree."""
-        g = math.gcd(den, *(c for pair in terms.values() for c in pair)) if den != 1 else 1
+        g = math.gcd(den, *chain.from_iterable(terms.values())) if den != 1 else 1
         if g != 1:
             terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
             den //= g
@@ -542,6 +542,7 @@ class Polynomial:
 
     def extend(self, nvars: int) -> "Polynomial":
         """View in a larger variable set; new variables are appended."""
+        _refuse_bool(nvars, "the variable count")
         if nvars < self.nvars:
             raise ValueError("cannot shrink the variable set")
         if nvars == self.nvars:
@@ -551,6 +552,7 @@ class Polynomial:
         return Polynomial._build(nvars, self._den, {k << shift: v for k, v in self._num.items()}, width)
 
     def derivative(self, index: int) -> "Polynomial":
+        _refuse_bool(index, "the variable index")
         if not 0 <= index < self.nvars:
             raise ValueError("derivative variable out of range")
         width = _width(self._degree)
@@ -832,6 +834,11 @@ class Evaluator:
 # result's field width holds the largest sum of a pair's degrees, which
 # bounds every field of every key sum, so no sum carries from one field into
 # the next; an operand packed narrower is widened once before the loop.
+# A large sum that ``_fits_int64`` proves safe runs in ``_vector_sum`` on
+# numpy int64 arrays; every other sum runs in the ``_accumulate`` loop.
+
+_VECTOR_PRODUCTS = 4096  # fewest products of a vector sum; twice the measured crossover (1-2k)
+_SLAB = 1 << 15  # products the vector kernel forms at once
 
 
 def mul_cost(a: Polynomial, b: Polynomial) -> int:
@@ -854,13 +861,15 @@ def sum_of_products(pairs: Sequence[tuple[Polynomial, Polynomial]], budget=None)
             budget.charge(mul_cost(a, b))
     nvars = pairs[0][0].nvars
     pairs = [(a, b) if len(a) <= len(b) else (b, a) for a, b in pairs if a._num and b._num]
-    width = _width(max((a._degree + b._degree for a, b in pairs), default=0))
-    den = math.lcm(*(a._den * b._den for a, b in pairs))
+    degree = max((a._degree + b._degree for a, b in pairs), default=0)
+    width, den = _width(degree), math.lcm(*(a._den * b._den for a, b in pairs))
+    jobs = [(a._at(width), b._at(width), den // (a._den * b._den)) for a, b in pairs]
+    if _fits_int64(jobs, degree, sum(mul_cost(a, b) for a, b in pairs)):
+        return _vector_sum(nvars, den, degree, jobs)
     acc: dict[int, list] = {}
-    for a, b in pairs:
-        s = den // (a._den * b._den)
-        items = [(k, re, im) for k, (re, im) in b._at(width).items()]
-        for ka, (ra, ia) in a._at(width).items():
+    for a, b, s in jobs:
+        items = [(k, re, im) for k, (re, im) in b.items()]
+        for ka, (ra, ia) in a.items():
             _accumulate(acc, ka, ra * s, ia * s, items)
     return _collect(nvars, den, acc, width)
 
@@ -873,7 +882,10 @@ def _square_poly(p: Polynomial) -> Polynomial:
     if not p._num:
         return p
     width = _width(2 * p._degree)
-    items = [(k, re, im) for k, (re, im) in p._at(width).items()]
+    num = p._at(width)
+    if _fits_int64([(num, num, 1)], 2 * p._degree, len(num) * (len(num) + 1) // 2):
+        return _vector_sum(p.nvars, p._den * p._den, 2 * p._degree, [(num, num, 1)])
+    items = [(k, re, im) for k, (re, im) in num.items()]
     acc: dict[int, list] = {}
     for idx, (ka, ra, ia) in enumerate(items):
         # each term once with itself, then twice with each later term
@@ -899,3 +911,70 @@ def _accumulate(acc: dict, ka: int, ra: int, ia: int, items: list):
 
 def _collect(nvars: int, den: int, acc: dict, width: int) -> Polynomial:
     return Polynomial._build(nvars, den, {k: (re, im) for k, (re, im) in acc.items() if re or im}, width)
+
+
+def _fits_int64(jobs, degree: int, products: int) -> bool:
+    """Whether ``_vector_sum`` takes the sum over ``jobs`` (numerator maps of
+    a and b, scale of a) of products up to ``degree``: at least
+    ``_VECTOR_PRODUCTS`` products, key fields that fit an int64, and no int64
+    value reaching 2**63.  A part of one product is at most 2*max|a|*max|b|
+    and a key collects at most min(len(a), len(b)) products of a pair, so the
+    sum of these bounds covers every product, partial sum and total."""
+    if products < _VECTOR_PRODUCTS or _width(degree) > 63:
+        return False
+    top = lambda num: max(map(abs, chain.from_iterable(num.values())))  # noqa: E731
+    return sum(2 * s * top(a) * top(b) * min(len(a), len(b)) for a, b, s in jobs) < 1 << 63
+
+
+def _vector_sum(nvars: int, den: int, degree: int, jobs) -> Polynomial:
+    """The sum over ``jobs`` that ``_fits_int64`` admits, in numpy int64.
+
+    Key fields are split into int64 words of ``degree.bit_length()`` bits a
+    field; no field of a sum exceeds ``degree``, so words add without carry,
+    as keys do.  A slab of at most ``_SLAB`` products is an outer sum of
+    words and an outer Gaussian product of numerators, sorted, its equal
+    words added by ``np.add.reduceat``; sorted slabs merge the same way, in
+    a stack of halving sizes.  A job whose a is b is a square: pairs i < j
+    count twice, pairs i > j not at all.  Keys are rebuilt in 63-bit pieces."""
+    width, bits, at = _width(degree), max(degree.bit_length(), 1), np.arange(nvars + 1)
+    word, spot, per = (at // (63 // bits)).tolist(), (bits * (at % (63 // bits))).tolist(), 63 // width
+
+    def words(num):
+        fields = np.fromiter(((k >> width * f) & ((1 << width) - 1) for k in num for f in range(nvars + 1)), np.int64)
+        return np.add.reduceat(fields.reshape(len(num), -1) << spot, range(0, nvars + 1, 63 // bits), axis=1)
+
+    stack = []
+    for a, b, s in jobs:
+        ka, kb = words(a), words(b)
+        na = np.fromiter(chain.from_iterable(a.values()), np.int64).reshape(-1, 2) * s
+        nb = np.fromiter(chain.from_iterable(b.values()), np.int64).reshape(-1, 2)
+        rows = max(1, _SLAB // len(b))
+        for i in range(0, len(a), rows):
+            ar, ai = na[i : i + rows, :1], na[i : i + rows, 1:]
+            for j in range(i if a is b else 0, len(b), _SLAB):
+                br, bi = nb[j : j + _SLAB, 0], nb[j : j + _SLAB, 1]
+                keys, re, im = ka[i : i + rows, None] + kb[j : j + _SLAB], ar * br - ai * bi, ar * bi + ai * br
+                if a is b:
+                    gap = np.arange(j, j + re.shape[1]) - np.arange(i, i + re.shape[0])[:, None]
+                    keys, re, im = keys[gap >= 0], (re * (1 + (gap > 0)))[gap >= 0], (im * (1 + (gap > 0)))[gap >= 0]
+                stack.append(_reduce(keys.reshape(-1, ka.shape[1]), re.ravel(), im.ravel()))
+                while len(stack) > 1 and 2 * len(stack[-1][0]) >= len(stack[-2][0]):
+                    stack[-2:] = [_reduce(*map(np.concatenate, zip(*stack[-2:])))]
+    while len(stack) > 1:  # the levels are freed as they merge
+        stack[-2:] = [_reduce(*map(np.concatenate, zip(*stack[-2:])))]
+    keys, re, im = stack.pop()
+    live = (re != 0) | (im != 0)
+    keys, re, im, out = keys[live], re[live].tolist(), im[live].tolist(), None
+    for f in range(0, nvars + 1, per):  # one 63-bit piece of the keys at a time
+        piece = sum(((keys[:, word[g]] >> spot[g]) & ((1 << bits) - 1)) << width * (g - f) for g in at[f : f + per])
+        out = piece.tolist() if out is None else [k | x << width * f for k, x in zip(out, piece.tolist())]
+    del keys  # the key words are not needed while the map is built
+    return Polynomial._build(nvars, den, dict(zip(out, zip(re, im))), width)
+
+
+def _reduce(keys, re, im):
+    """The distinct rows of ``keys`` in order, with the numerators of each added."""
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+    keys, re, im = keys[order], re[order], im[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(1)])
+    return keys[starts], np.add.reduceat(re, starts), np.add.reduceat(im, starts)

@@ -319,8 +319,13 @@ def test_constructor_refuses_bad_exponent_vectors():
         lambda: GaussianRational(3) ** True,
         lambda: Polynomial.variable(2, 0) ** True,
         lambda: Polynomial.variable(2, True),
+        lambda: Polynomial.variable(2, 0).derivative(True),
+        lambda: Polynomial.variable(1, 0).extend(True),
     ],
-    ids=["re", "im", "coerce", "coefficient", "constant", "sum", "point", "map-point", "power", "poly-power", "index"],
+    ids=[
+        "re", "im", "coerce", "coefficient", "constant", "sum", "point", "map-point", "power", "poly-power", "index",
+        "derivative-index", "extend-count",
+    ],
 )
 def test_bools_are_not_exact_values(build):
     with pytest.raises(TypeError):

@@ -7,8 +7,11 @@ packed form must agree with it exactly, including exponents of a few
 hundred, whose products need wider key fields than their operands.
 """
 
+import contextlib
 import copy
+import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,14 +181,21 @@ def test_sum_of_products_matches_the_separate_products_and_their_charges(data):
 
 def test_sum_of_products_over_budget_forms_no_product(monkeypatch):
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    pairs = [(x + y, x - y), (x.scale(Fraction(1, 3)) + 1, y + GaussianRational(0, 2))]
-    cost = sum(mul_cost(a, b) for a, b in pairs)
-    products = []
-    monkeypatch.setattr(exact, "_accumulate", lambda *args: products.append(args))
-    # the budget holds the first product but not both
-    with pytest.raises(InfeasibleError):
-        sum_of_products(pairs, _Budget(cost - 1))
-    assert products == []
+    small = [(x + y, x - y), (x.scale(Fraction(1, 3)) + 1, y + GaussianRational(0, 2))]
+    wide = (x + y + 1) ** 9  # 55 terms, so two products of it pass the vector cutoff
+    large = [(wide, wide + x), (wide * y, wide.scale(Fraction(1, 5)))]
+    loop, vector = [], []
+    monkeypatch.setattr(exact, "_accumulate", lambda *args: loop.append(args))
+    monkeypatch.setattr(exact, "_vector_sum", lambda *args: vector.append(args))
+    for pairs in (small, large):
+        cost = sum(mul_cost(a, b) for a, b in pairs)
+        # the budget holds the first product but not both
+        with pytest.raises(InfeasibleError):
+            sum_of_products(pairs, _Budget(cost - 1))
+        assert loop == [] and vector == []
+    # within budget, the large sum is one the vector kernel takes
+    sum_of_products(large, _Budget(cost))
+    assert loop == [] and len(vector) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,3 +268,124 @@ def test_width_change_keeps_values():
     assert (big + x) - big == x and hash((big + x) - big) == hash(x)
     assert (x**255 * x).degree() == 256
     assert (x**256).derivative(0) == 256 * x**255
+
+
+# ---------------------------------------------------------------- vector kernel
+#
+# Sums of at least ``exact._VECTOR_PRODUCTS`` products that provably stay in
+# int64 run in ``exact._vector_sum``; all others in the ``exact._accumulate``
+# loop.  Each test forces a path by the cutoff and records which one ran.
+
+
+@contextlib.contextmanager
+def forced(cutoff, slab: int = exact._SLAB):
+    """Run with the vector cutoff and slab size given; yields the set of
+    kernels ("vector", "loop") that ran."""
+    ran = set()
+    vector, accumulate = exact._vector_sum, exact._accumulate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_VECTOR_PRODUCTS", cutoff)
+        mp.setattr(exact, "_SLAB", slab)
+        mp.setattr(exact, "_vector_sum", lambda *args: ran.add("vector") or vector(*args))
+        mp.setattr(exact, "_accumulate", lambda *args: ran.add("loop") or accumulate(*args))
+        yield ran
+
+
+def both_paths(pairs, slab: int = exact._SLAB):
+    """The sum of products and the square of the first factor, on the vector
+    path and on the loop, each checked to have run on its own path."""
+    out = []
+    for cutoff, path in ((1, "vector"), (math.inf, "loop")):
+        with forced(cutoff, slab) as ran:
+            out.append((sum_of_products(pairs), pairs[0][0].square()))
+        assert ran == {path}
+    return out
+
+
+nonzero_gaussians = gaussians.filter(lambda c: c != (0, 0))
+
+
+@st.composite
+def product_sums(draw):
+    """1 to 12 variables, exponents that keep keys at 8-bit fields or pass
+    degree 256 and need 16, up to three pairs over different denominators,
+    sometimes a pair that cancels the first one."""
+    nvars = draw(st.integers(1, 12))
+    exps = draw(st.sampled_from([st.integers(0, 3), st.integers(0, 40), st.integers(100, 300)]))
+    poly = st.dictionaries(st.tuples(*[exps] * nvars), nonzero_gaussians, min_size=1, max_size=6)
+    polys = [packed(nvars, draw(poly)) for _ in range(2 * draw(st.integers(1, 3)))]
+    pairs = list(zip(polys[::2], polys[1::2]))
+    if draw(st.booleans()):
+        a, b = pairs[0]
+        pairs.append((b, -a))  # cancels the first product term for term
+    return pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_sums(), st.sampled_from([1, 5, exact._SLAB]))
+def test_vector_kernel_matches_the_loop_and_the_reference(pairs, slab):
+    want = {}
+    for a, b in pairs:
+        want = ref_add(want, ref_mul(ref(a), ref(b)))
+    a0 = ref(pairs[0][0])
+    (vs, vq), (ls, lq) = both_paths(pairs, slab)
+    assert vs == ls and vq == lq
+    assert ref(vs) == want and ref(vq) == ref_mul(a0, a0)
+    # the paths may insert terms in different orders; nothing may show it
+    assert vs.sorted_terms() == ls.sorted_terms() and str(vq) == str(lq)
+    assert hash(vs) == hash(ls) and list(vq.term_texts(max)) == list(lq.term_texts(max))
+
+
+def test_a_pair_that_cancels_another_sums_to_zero_on_both_paths():
+    x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 2)
+    a, b = (x + y + 2) ** 4, (x - y.scale(Fraction(1, 3))) ** 5
+    for total, square in both_paths([(a, b), (b, a.scale(-1))]):
+        assert total.is_zero() and total == Polynomial.zero(3)
+        assert square == ref_poly(3, ref_mul(ref(a), ref(a)))
+
+
+@pytest.mark.parametrize(
+    "nvars, top, slab",
+    [(7, 3, exact._SLAB), (12, 3, 7), (3, 300, exact._SLAB), (9, 40, 50), (12, 300, 1000)],
+    ids=["8-bit-fields-64-bit-keys", "13-fields", "16-bit-fields-64-bit-keys", "several-words", "12-vars-degree-3600"],
+)
+def test_vector_kernel_takes_keys_wider_than_one_word(nvars, top, slab):
+    rng = random.Random(nvars * 1000 + top)
+
+    def poly(terms):
+        monos = [tuple(rng.randint(0, top) for _ in range(nvars)) for _ in range(terms)]
+        return ref_poly(nvars, {m: (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)), Fraction(rng.randint(-9, 9))) for m in monos})
+
+    pairs = [(poly(9), poly(12)), (poly(7), poly(10))]
+    degree = max(a.degree() + b.degree() for a, b in pairs)
+    assert exact._width(degree) * (nvars + 1) > 63  # a packed key of the sum is wider than an int64
+    want = ref_add(*(ref_mul(ref(a), ref(b)) for a, b in pairs))
+    (vs, vq), (ls, lq) = both_paths(pairs, slab)
+    assert vs == ls and ref(vs) == want
+    assert vq == lq and ref(vq) == ref_mul(ref(pairs[0][0]), ref(pairs[0][0]))
+
+
+def test_vector_kernel_runs_just_below_the_int64_bound_and_the_loop_just_above():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # (m + m*i)(x + y) times itself: the coefficient of x*y is 4*m**2*i, the
+    # bound of each path's check; m = top keeps it below 2**63, top + 1 not
+    top = math.isqrt((2**63 - 1) // 4)
+    for m, path in ((top, "vector"), (top + 1, "loop")):
+        c = GaussianRational(m, m)
+        a, b = (x + y).scale(c), (y + x).scale(c)
+        with forced(1) as ran:
+            product, square = sum_of_products([(a, b)]), a.square()
+        assert ran == {path}
+        assert product == square == ref_poly(2, ref_mul(ref(a), ref(a)))
+        assert product.terms[(1, 1)] == GaussianRational(0, 4 * m * m)
+        assert (4 * m * m < 2**63) == (path == "vector")
+
+
+def test_key_fields_wider_than_an_int64_stay_on_the_loop():
+    x = Polynomial.variable(2, 0)
+    huge = Polynomial(2, {(2**56, 0): 1, (0, 1): 3})  # a product needs 64-bit key fields
+    with forced(1) as ran:
+        square, product = huge.square(), huge * (huge + x)
+    assert ran == {"loop"}
+    assert square.terms[(2**57, 0)] == GaussianRational(1) and len(square) == 3
+    assert product == square + huge * x
