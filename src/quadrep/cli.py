@@ -9,6 +9,7 @@ Exit codes: 0 pass, 2 usage or format problem, 3 mathematical failure;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Optional
@@ -342,8 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # one parser per process: building it costs more than many commands take
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (_Failure, DocumentError, OverflowError, NumericError, MapError) as exc:

@@ -611,7 +611,7 @@ class Polynomial:
 
 class _Terms(Mapping):
     """A polynomial's terms, exponent tuple -> ``GaussianRational``, decoded
-    from the packed form on access; read-only."""
+    from the packed form on access and iterated in canonical order; read-only."""
 
     __slots__ = ("_poly",)
 
@@ -622,7 +622,7 @@ class _Terms(Mapping):
         return len(self._poly._num)
 
     def __iter__(self) -> Iterator[Monomial]:
-        return map(self._poly._mono, self._poly._num)
+        return map(self._poly._mono, sorted(self._poly._num, reverse=True))
 
     def __getitem__(self, mono: Monomial) -> GaussianRational:
         p = self._poly
@@ -830,7 +830,8 @@ class Evaluator:
 # already in packed integer form: a product adds keys and multiplies
 # Gaussian-integer numerators, and its denominator is the product of theirs.
 # ``sum_of_products`` accumulates a sum of products such as b1*f + b2*g in one
-# map over the common denominator; ``_mul_poly`` is its one-pair case.  The
+# map over the common denominator; ``_mul_poly`` is its one-pair case and
+# ``_square_poly`` its one-square case, a pair (p, p) of one object.  The
 # result's field width holds the largest sum of a pair's degrees, which
 # bounds every field of every key sum, so no sum carries from one field into
 # the next; an operand packed narrower is widened once before the loop.
@@ -855,7 +856,9 @@ def charged_mul(a: Polynomial, b: Polynomial, budget) -> Polynomial:
 
 def sum_of_products(pairs: Sequence[tuple[Polynomial, Polynomial]], budget=None) -> Polynomial:
     """The sum of a * b over the (a, b) in ``pairs``, after charging the
-    ``mul_cost`` of every product to ``budget`` (None charges nothing)."""
+    ``mul_cost`` of every product to ``budget`` (None charges nothing).  A
+    pair of one object twice is a square, also once its keys are widened:
+    it forms only the products of terms i <= j, those with i < j twice."""
     if budget is not None:
         for a, b in pairs:
             budget.charge(mul_cost(a, b))
@@ -863,14 +866,17 @@ def sum_of_products(pairs: Sequence[tuple[Polynomial, Polynomial]], budget=None)
     pairs = [(a, b) if len(a) <= len(b) else (b, a) for a, b in pairs if a._num and b._num]
     degree = max((a._degree + b._degree for a, b in pairs), default=0)
     width, den = _width(degree), math.lcm(*(a._den * b._den for a, b in pairs))
-    jobs = [(a._at(width), b._at(width), den // (a._den * b._den)) for a, b in pairs]
-    if _fits_int64(jobs, degree, sum(mul_cost(a, b) for a, b in pairs)):
+    jobs = [(na := a._at(width), na if a is b else b._at(width), den // (a._den * b._den)) for a, b in pairs]
+    if _fits_int64(jobs, degree):
         return _vector_sum(nvars, den, degree, jobs)
     acc: dict[int, list] = {}
     for a, b, s in jobs:
         items = [(k, re, im) for k, (re, im) in b.items()]
-        for ka, (ra, ia) in a.items():
-            _accumulate(acc, ka, ra * s, ia * s, items)
+        for idx, (ka, (ra, ia)) in enumerate(a.items()):
+            if a is b:  # each term once with itself, then twice with each later term
+                _accumulate(acc, ka, ra * s, ia * s, items[idx : idx + 1])
+                ra, ia = 2 * ra, 2 * ia
+            _accumulate(acc, ka, ra * s, ia * s, items[idx + 1 :] if a is b else items)
     return _collect(nvars, den, acc, width)
 
 
@@ -879,19 +885,7 @@ def _mul_poly(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _square_poly(p: Polynomial) -> Polynomial:
-    if not p._num:
-        return p
-    width = _width(2 * p._degree)
-    num = p._at(width)
-    if _fits_int64([(num, num, 1)], 2 * p._degree, len(num) * (len(num) + 1) // 2):
-        return _vector_sum(p.nvars, p._den * p._den, 2 * p._degree, [(num, num, 1)])
-    items = [(k, re, im) for k, (re, im) in num.items()]
-    acc: dict[int, list] = {}
-    for idx, (ka, ra, ia) in enumerate(items):
-        # each term once with itself, then twice with each later term
-        _accumulate(acc, ka, ra, ia, items[idx : idx + 1])
-        _accumulate(acc, ka, 2 * ra, 2 * ia, items[idx + 1 :])
-    return _collect(p.nvars, p._den * p._den, acc, width)
+    return sum_of_products(((p, p),))
 
 
 def _accumulate(acc: dict, ka: int, ra: int, ia: int, items: list):
@@ -913,13 +907,15 @@ def _collect(nvars: int, den: int, acc: dict, width: int) -> Polynomial:
     return Polynomial._build(nvars, den, {k: (re, im) for k, (re, im) in acc.items() if re or im}, width)
 
 
-def _fits_int64(jobs, degree: int, products: int) -> bool:
+def _fits_int64(jobs, degree: int) -> bool:
     """Whether ``_vector_sum`` takes the sum over ``jobs`` (numerator maps of
     a and b, scale of a) of products up to ``degree``: at least
-    ``_VECTOR_PRODUCTS`` products, key fields that fit an int64, and no int64
-    value reaching 2**63.  A part of one product is at most 2*max|a|*max|b|
-    and a key collects at most min(len(a), len(b)) products of a pair, so the
+    ``_VECTOR_PRODUCTS`` products (n(n+1)/2 for a square), key fields that
+    fit an int64, and no int64 value reaching 2**63.  A part of one product
+    is at most 2*max|a|*max|b| and a key collects at most min(len(a), len(b))
+    products of a pair (a square's doubled product counts as two), so the
     sum of these bounds covers every product, partial sum and total."""
+    products = sum(len(a) * (len(a) + 1) // 2 if a is b else len(a) * len(b) for a, b, _ in jobs)
     if products < _VECTOR_PRODUCTS or _width(degree) > 63:
         return False
     top = lambda num: max(map(abs, chain.from_iterable(num.values())))  # noqa: E731

@@ -413,10 +413,8 @@ def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
         # q^k must fit too; it is not charged, so certificates keep their expanded_products
         if budget.spent + cost + _form_power_cost(pmap.m, k) <= budget.limit:
             budget.charge(cost)
-            total = Polynomial.zero(pmap.m)
-            for c in pmap.components:
-                total = total + c.square()
-            diff = total - quadratic_form(pmap.m) ** k
+            # q(f) - q^k in one accumulation; each pair (c, c) is formed as a square
+            diff = sum_of_products([(c, c) for c in pmap.components] + [(Polynomial.constant(pmap.m, -1), quadratic_form(pmap.m) ** k)])
             if diff.is_zero():
                 detail = {"difference_terms": 0, "expanded_products": budget.spent}
                 return Certificate(k, "full-expansion", True, detail)

@@ -541,3 +541,26 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, error, code):
     monkeypatch.setattr(cli, "catalog", fail)
     got, report, err = run(capsys, "generate", "pi_n:1,2", "-o", str(tmp_path / "x.json"))
     assert got == code and report is None and err == "quadrep: boom\n"
+
+
+def test_consecutive_commands_share_no_parsed_state(tmp_path, capsys):
+    """``main`` parses with one parser per process; no option or default of
+    one call may reach the next."""
+    path = str(tmp_path / "d.json")
+    code, _, err = run(capsys, "generate", "pi_n:2,2", "-o", path, "--materialize-budget", "0")
+    assert code == 2 and "Traceback" not in err
+    assert run(capsys, "generate", "pi_n:2,2", "-o", path)[0] == 0  # the default budget again
+    code, report, _ = run(capsys, "verify", path, "--mode", "sampled", "--seed", "7", "--samples", "20")
+    assert code == 0 and report["seed"] == 7 and report["checks"][0]["samples"] == 20
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--mode", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, report, _ = run(capsys, "invariants", path, "--check", "homotopies", "--seed", "3")
+    assert code == 0 and report["check"] == "homotopies" and report["seed"] == 3 and "mode" not in report
+    code, report, _ = run(capsys, "verify", path, "--mode", "sampled")
+    assert code == 0 and report["seed"] == 0 and report["checks"][0]["samples"] == 10_000
+    code, report, _ = run(capsys, "verify", path)
+    assert code == 0 and report["mode"] == "exact" and "check" not in report
+    assert report["checks"][0]["method"] == "full-expansion"
+    assert cli._parser() is cli._parser()

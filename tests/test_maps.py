@@ -667,3 +667,97 @@ def test_suspension_materializes_at_exactly_its_cost(target, monkeypatch):
     cost = budgets[-1].spent
     assert comps == maps._materialize_suspension(node, cost)
     assert maps._materialize_suspension(node, cost - 1) is None
+
+
+# ------------------------------------------------------ expansion oracle
+#
+# The expansion proof forms q(f) - q^k as one sum of products.  The oracle
+# below is the former proof: each component squared on its own, the squares
+# added one at a time, then q^k subtracted.  Both must give the same
+# certificate, field for field, on success and on failure.
+
+
+def former_expansion_cert(pmap, k, budget):
+    if pmap.components is not None:
+        cost = maps._squaring_cost(pmap)
+        if budget.spent + cost + maps._form_power_cost(pmap.m, k) <= budget.limit:
+            budget.charge(cost)
+            total = Polynomial.zero(pmap.m)
+            for c in pmap.components:
+                total = total + c.square()
+            diff = total - quadratic_form(pmap.m) ** k
+            if diff.is_zero():
+                return Certificate(k, "full-expansion", True, {"difference_terms": 0, "expanded_products": budget.spent})
+            mono, coeff = diff.leading_term()
+            witness = f"nonzero difference term {coeff.canonical_str()} * {mono}"
+            return Certificate(k, "full-expansion", False, {"difference_terms": len(diff)}, witness)
+    if isinstance(pmap.node, SuspensionNode):
+        return maps._suspension_cert(pmap.node, k, budget)
+    if isinstance(pmap.node, CompositionNode):
+        return maps._composition_cert(pmap.node, k, budget)
+    raise InfeasibleError("no structure node to factor through")
+
+
+def both_expansion_certs(pmap, k, monkeypatch, budget=maps.DEFAULT_EXPANSION_BUDGET):
+    """(certificate fields or error type) by the single accumulation, then by
+    the oracle, which also stands in for every factored proof's children."""
+    out = []
+    for cert_fn in (maps._expansion_cert, former_expansion_cert):
+        with monkeypatch.context() as mp:
+            mp.setattr(maps, "_expansion_cert", cert_fn)
+            try:
+                cert = cert_fn(pmap, k, maps._Budget(budget))
+                out.append((cert.claimed_order, cert.method, cert.verdict, dict(cert.detail), cert.witness))
+            except InfeasibleError as exc:
+                out.append(type(exc))
+    return out
+
+
+def lineage(pmap):
+    """The map and every map it was built from, each once."""
+    seen, stack = {}, [pmap]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            stack += [getattr(x.node, name) for name in ("f", "g", "outer", "inner") if hasattr(x.node, name)]
+    return list(seen.values())
+
+
+ORACLE_TARGETS = (
+    [f"pi_n:{n},{d}" for n in range(1, 5) for d in range(-3, 4)]
+    + [f"pi_np1:{n}" for n in range(3, 7)]
+    + [f"pi3_s2:{d}" for d in (-2, -1, 0, 1, 2, 7)]
+    + ["pi_np2:2", "pi_np2:3", "pi_np2:4", "pi_np3:2"]
+)
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_single_accumulation_certifies_as_the_former_expansion(target, monkeypatch):
+    methods = set()
+    for x in lineage(catalog(target)):
+        if x.order is None:
+            continue
+        for k in sorted({x.order, x.order + 1, max(x.order - 1, 0)}):
+            new, old = both_expansion_certs(x, k, monkeypatch)
+            assert new == old, (x.label, k)
+            methods.add(new[1] if isinstance(new, tuple) else new)
+            if isinstance(new, tuple) and k != x.order:
+                assert not new[2] and new[4]
+    assert "full-expansion" in methods or target == "pi_np3:2"
+
+
+@pytest.mark.parametrize("target", ["pi_n:1,3", "pi_n:3,-2", "pi_np1:3", "pi3_s2:2", "pi_np2:2"])
+def test_single_accumulation_fails_corrupted_maps_as_the_former_expansion(target, monkeypatch):
+    pm = catalog(target)
+    for idx, comp in enumerate(pm.components):
+        for delta in (1, -3):
+            new, old = both_expansion_certs(corrupt(pm, idx, delta), pm.order, monkeypatch)
+            assert new == old and new[1] == "full-expansion" and not new[2] and new[4]
+    # a component that vanishes leaves no square to form
+    zeroed = PolyMap.explicit([Polynomial.zero(pm.m), *pm.components[1:]], "zeroed")
+    new, old = both_expansion_certs(zeroed, pm.order, monkeypatch)
+    assert new == old and not new[2]
+    # within a budget too small for the components, both factor or both refuse
+    new, old = both_expansion_certs(pm, pm.order, monkeypatch, budget=10)
+    assert new == old

@@ -333,6 +333,8 @@ def test_vector_kernel_matches_the_loop_and_the_reference(pairs, slab):
     assert ref(vs) == want and ref(vq) == ref_mul(a0, a0)
     # the paths may insert terms in different orders; nothing may show it
     assert vs.sorted_terms() == ls.sorted_terms() and str(vq) == str(lq)
+    assert list(vs.terms) == list(ls.terms) == [m for m, _ in vs.sorted_terms()]
+    assert list(vq.terms.items()) == list(lq.terms.items()) == vq.sorted_terms()
     assert hash(vs) == hash(ls) and list(vq.term_texts(max)) == list(lq.term_texts(max))
 
 
@@ -389,3 +391,108 @@ def test_key_fields_wider_than_an_int64_stay_on_the_loop():
     assert ran == {"loop"}
     assert square.terms[(2**57, 0)] == GaussianRational(1) and len(square) == 3
     assert product == square + huge * x
+
+
+# ----------------------------------------------------------------- square rule
+#
+# A pair whose two factors are one object is a square: both kernels form only
+# the products of terms i <= j and count those with i < j twice, also when
+# the factor is widened to the keys of the sum.
+
+
+@contextlib.contextmanager
+def counted():
+    """Yields {"products": n}: the products the kernels formed, counted from
+    the terms the loop was handed and from the jobs of the vector kernel."""
+    work = {"products": 0}
+    vector, accumulate = exact._vector_sum, exact._accumulate
+
+    def vector_sum(*args):
+        work["products"] += formed_products(args[3])
+        return vector(*args)
+
+    def loop(*args):
+        work["products"] += len(args[4])
+        return accumulate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_vector_sum", vector_sum)
+        mp.setattr(exact, "_accumulate", loop)
+        yield work
+
+
+def formed_products(pairs) -> int:
+    """n(n+1)/2 for a square of n terms, |a|*|b| for any other pair (or job)."""
+    return sum(len(a) * (len(a) + 1) // 2 if a is b else len(a) * len(b) for a, b, *_ in pairs)
+
+
+def int64_bound(pairs) -> int:
+    """The largest value a vector sum could reach: over the pairs, 2 * scale *
+    max numerator of a * max numerator of b * min(|a|, |b|)."""
+    den = math.lcm(*(a._den * b._den for a, b in pairs))
+    top = lambda p: max(abs(v) for pair in p._num.values() for v in pair)  # noqa: E731
+    return sum(2 * (den // (a._den * b._den)) * top(a) * top(b) * min(len(a), len(b)) for a, b in pairs)
+
+
+@st.composite
+def square_sums(draw):
+    """One to three squares mixed with up to two plain pairs, sometimes one
+    more of two equal but distinct factors; 1 to 4 variables; degrees under
+    9, or 128-246, whose squares pass 255 and need wider keys than their
+    factor; numerators of a few bits, or near 2**30, where the int64 bound
+    of a sum passes 2**63 on one draw and not on the next."""
+    nvars = draw(st.integers(1, 4))
+    small = st.integers(0, 2)
+    monos = st.tuples(*[small] * nvars)
+    if draw(st.booleans()):
+        monos = st.one_of(monos, st.tuples(st.integers(128, 240), *[small] * (nvars - 1)))
+    ints = st.integers(-(2**30), 2**30) if draw(st.booleans()) else st.integers(-30, 30)
+    parts = st.builds(Fraction, ints, st.integers(1, 4))
+    coeffs = st.tuples(parts, parts).filter(lambda c: c != (0, 0))
+    poly = st.dictionaries(monos, coeffs, min_size=1, max_size=12).map(lambda t: packed(nvars, t))
+    squares = [(p, p) for p in draw(st.lists(poly, min_size=1, max_size=3))]
+    plain = [draw(st.tuples(poly, poly)) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        p = squares[0][0]
+        plain.append((p, Polynomial(nvars, dict(p.terms))))
+    return draw(st.permutations(squares + plain))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_sums(), st.sampled_from([1, 7, exact._SLAB]))
+def test_square_pairs_mixed_with_plain_pairs_match_the_reference(pairs, slab):
+    want = {}
+    for a, b in pairs:
+        want = ref_add(want, ref_mul(ref(a), ref(b)))
+    fits, formed = int64_bound(pairs) < 2**63, formed_products(pairs)
+    results = []
+    for cutoff, path in ((1, "vector" if fits else "loop"), (math.inf, "loop")):
+        with forced(cutoff, slab) as ran, counted() as work:
+            total = sum_of_products(pairs)
+        assert ran == {path} and work["products"] == formed
+        assert ref(total) == want and list(total.terms) == [m for m, _ in total.sorted_terms()]
+        results.append(total)
+    assert results[0] == results[1] and hash(results[0]) == hash(results[1])
+    if fits:  # the cutoff counts each square as n(n+1)/2 products
+        for cutoff, path in ((formed, "vector"), (formed + 1, "loop")):
+            with forced(cutoff) as ran:
+                assert sum_of_products(pairs) == results[0]
+            assert ran == {path}
+
+
+def test_a_square_keeps_one_map_when_its_keys_widen():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p = x**200 + (x * y) ** 3 * GaussianRational(2, -1) + y.scale(Fraction(1, 3)) + 1
+    assert exact._width(p.degree()) == 8 and exact._width(2 * p.degree()) == 16
+    want = ref_mul(ref(p), ref(p))
+    for cutoff, path in ((1, "vector"), (math.inf, "loop")):
+        with forced(cutoff) as ran, counted() as work:
+            square, product = p.square(), p * p
+        assert ran == {path} and work["products"] == 2 * (4 * 5 // 2)
+        assert ref(square) == ref(product) == want
+    # the budget is still charged every product of a*b, n**2 for a square
+    budget = _Budget(10**9)
+    assert charged_mul(p, p, budget) == square and budget.spent == 16
+    assert sum_of_products([(p, p)], _Budget(10**9)) == square
+    with pytest.raises(InfeasibleError):
+        sum_of_products([(p, p), (x, y)], _Budget(16))
