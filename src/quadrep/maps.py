@@ -738,10 +738,10 @@ def _materialize_composition(node: CompositionNode, budget_limit: int) -> Option
     outer, inner = node.outer, node.inner
     if outer.components is None or inner.components is None:
         return None
-    tmax = max(max(len(c) for c in inner.components), 1)
-    outer_degree = max((c.degree() for c in outer.components), default=0)
-    estimate = tmax * tmax if outer_degree >= 2 else tmax * sum(len(c) for c in outer.components)
-    if estimate > budget_limit:
+    # a lower bound on what compose charges: len(a)^2 to square each argument a
+    # that an outer component raises to a power >= 2
+    degrees = [c.per_variable_degrees() for c in outer.components]
+    if sum(len(a) ** 2 for d in degrees for a, e in zip(inner.components, d) if e >= 2) > budget_limit:
         return None
     try:
         budget = _Budget(budget_limit)

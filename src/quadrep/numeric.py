@@ -20,7 +20,9 @@ import numpy as np
 
 from .exact import Evaluator
 from .maps import (
+    DEFAULT_EXPANSION_BUDGET,
     DimensionMismatch,
+    InfeasibleError,
     PolyMap,
     PreconditionError,
     SuspensionNode,
@@ -43,10 +45,18 @@ def thread_count() -> int:
 # ----------------------------------------------------------------- sampling
 
 
+def _check_point_count(count: int, width: int):
+    """Refuse ``count`` points of ``width`` coordinates (the unit of
+    ``check_batch_cost``) beyond the expansion budget, before any is formed."""
+    if count * width > DEFAULT_EXPANSION_BUDGET:
+        raise InfeasibleError(f"{count} points of {width} coordinates exceed the expansion budget {DEFAULT_EXPANSION_BUDGET}")
+
+
 def sample_sphere(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Seeded uniform samples on S^n in R^(n+1), unit norm to rounding."""
     if n < 1:
         raise ValueError("sphere dimension must be at least 1")
+    _check_point_count(count, n + 1)
     rng = np.random.default_rng(seed)
     out = rng.normal(size=(count, n + 1))
     norms = np.linalg.norm(out, axis=1, keepdims=True)
@@ -75,6 +85,7 @@ def sample_quadric(m: int, count: int, seed: int = 0, spread: float = 0.35) -> n
     """
     if m < 2:
         raise ValueError("complex quadric sampling needs m >= 2")
+    _check_point_count(count, m)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(count, m))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -123,9 +134,7 @@ def sphere_retraction(p) -> np.ndarray:
     For p = x + i y on the quadric, returns (|y|^2 + 1)^(-1/2) x, a unit
     vector of R^m.  Real sphere points are fixed.
     """
-    z = _coerce_quadric_point(p)
-    x, y = z.real, z.imag
-    return x / np.sqrt(np.sum(y * y) + 1.0)
+    return tangent_lift(p)[0]
 
 
 def _retraction_batch(W: np.ndarray) -> np.ndarray:
@@ -201,8 +210,7 @@ def quadric_residual_scan(mapping, samples: int = 10_000, seed: int = 0) -> floa
     pts = np.concatenate([real_pts, cplx_pts], axis=0)
     worst = 0.0
     for i in range(0, len(pts), _CHUNK):
-        W = mapping.eval_batch(pts[i : i + _CHUNK])
-        worst = max(worst, float(np.abs(np.sum(W * W, axis=1) - 1.0).max(initial=0.0)))
+        worst = max(worst, float(quadric_residual(mapping.eval_batch(pts[i : i + _CHUNK])).max(initial=0.0)))
     return worst
 
 
@@ -335,9 +343,10 @@ def sphere_degree(pmap: PolyMap, grid: tuple[int, int] = (400, 200)) -> DegreeRe
     """
     if pmap.m != 3 or pmap.r != 3:
         raise DimensionMismatch("sphere degree needs a self-map of the 2-sphere quadric (m = r = 3)")
+    nphi, ntheta = grid
+    _check_point_count(nphi * ntheta, 3)
     _require_sphere_map(pmap)
     fused = _MapAndJacobian(pmap)
-    nphi, ntheta = grid
     theta = (np.arange(ntheta) + 0.5) * np.pi / ntheta
     phi = (np.arange(nphi) + 0.5) * 2 * np.pi / nphi
     T, F = np.meshgrid(theta, phi, indexing="ij")
@@ -392,87 +401,70 @@ class _PreimageSystem:
         self.value = value
         self.e1, self.e2 = _orthonormal_complement(value)
 
-    def h_jac(self, p: np.ndarray):
-        h, dh = self.fused.h_and_jacobian(p[None, :])
-        return h[0], dh[0]  # [3], [3, 4]
-
     def residual_and_jac(self, p: np.ndarray):
-        h, Jh = self.h_jac(p)
+        h, dh = self.fused.h_and_jacobian(p[None, :])
+        h, Jh = h[0], dh[0]  # [3], [3, 4]
         G = np.array(
             [np.dot(p, p) - 1.0, np.dot(self.e1, h), np.dot(self.e2, h)]
         )
         JG = np.vstack([2 * p, self.e1 @ Jh, self.e2 @ Jh])
         return G, JG, h
 
-    def orient_fiber_tangent(self, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Fix the fiber orientation: tangent followed by a positively
-        oriented lift of (e1, e2) must give the outward orientation of S^3.
-
-        This is the convention that makes the linking number of two fibers
-        equal the Hopf invariant, independent of tracing direction.
-        """
-        _, Jh = self.h_jac(p)
-        _, _, vt = np.linalg.svd(np.vstack([p, tau]))
-        u, v = vt[2], vt[3]
-        lifted = np.array(
-            [
-                [self.e1 @ (Jh @ u), self.e1 @ (Jh @ v)],
-                [self.e2 @ (Jh @ u), self.e2 @ (Jh @ v)],
-            ]
-        )
-        sign = np.linalg.det(np.vstack([p, tau, u, v])) * np.linalg.det(lifted)
-        return tau if sign > 0 else -tau
-
     def newton(self, p: np.ndarray, tol: float = 1e-10, max_iter: int = 60):
-        """(point, constraint Jacobian there) on convergence, else None."""
+        """(point, unit tangent, constraint Jacobian) on convergence, else None.
+
+        Each iterate takes one SVD JG = U diag(sv) Vt, which gives the rank
+        test, the least-norm step Vt[:3]^T (U^T G / sv) = JG^T (JG JG^T)^-1 G
+        and, at convergence, the tangent Vt[3], the null vector of JG.
+        """
         p = p.copy()
         for _ in range(max_iter):
             G, JG, h = self.residual_and_jac(p)
             gmax = np.max(np.abs(G))
-            if gmax < tol:
-                if np.dot(h, self.value) <= 0.25:
-                    return None  # converged to the antipodal sheet
-                return p, JG
-            sv = np.linalg.svd(JG, compute_uv=False)
+            if gmax < tol and np.dot(h, self.value) <= 0.25:
+                return None  # converged to the antipodal sheet
+            u, sv, vt = np.linalg.svd(JG)
             if sv[-1] < 1e-8 * max(sv[0], 1e-12):
                 if gmax < 1e-3:
                     # singular Jacobian right at the solution set: not regular
                     raise _RankDrop
                 return None  # singular far from the solution set: seed fails
-            p = p - JG.T @ np.linalg.solve(JG @ JG.T, G)
+            if gmax < tol:
+                return p, vt[-1], JG
+            p = p - vt[:3].T @ ((u.T @ G) / sv)
         return None
-
-    def tangent(self, JG: np.ndarray, previous: Optional[np.ndarray]) -> np.ndarray:
-        """Unit tangent of the curve from the constraint Jacobian JG that
-        ``newton`` converged with."""
-        _, sv, vt = np.linalg.svd(JG)
-        if sv[-1] < 1e-8 * sv[0]:
-            raise _RankDrop
-        tau = vt[-1]
-        if previous is not None and np.dot(tau, previous) < 0:
-            tau = -tau
-        return tau
 
 
 def _trace_curve(
     system: _PreimageSystem,
     start: np.ndarray,
+    start_tangent: np.ndarray,
     start_jac: np.ndarray,
     step: float = 1e-2,
     newton_tol: float = 1e-10,
     max_steps: int = 100_000,
 ) -> TracedCurve:
-    """Predictor-corrector continuation along the preimage circle."""
+    """Predictor-corrector continuation along the preimage circle.
+
+    The first tangent takes the fiber orientation: tau and a positively
+    oriented lift (u, v) of (e1, e2) give the outward orientation of S^3,
+    so the linking number of two fibers is the Hopf invariant whatever the
+    tracing direction.  With B = [p, tau, u, v] orthonormal and JG's rows
+    (2p, e1^T Jh, e2^T Jh), [JG; tau] B^T has rows (2, 0, 0, 0),
+    (*, 0, e1^T Jh u, e1^T Jh v), (*, 0, e2^T Jh u, e2^T Jh v), (0, 1, 0, 0),
+    so det [JG; tau] det B = 2 det(lifted) with lifted the 2x2 block
+    e_i^T Jh (u, v): the sign of det [JG; tau] is that orientation.
+    """
     points = [start]
     p = start
-    tau = system.orient_fiber_tangent(p, system.tangent(start_jac, None))
+    tau = start_tangent if np.linalg.det(np.vstack([start_jac, start_tangent])) > 0 else -start_tangent
     for n_steps in range(max_steps):
         predictor = p + step * tau
         corrected = system.newton(predictor, tol=newton_tol)
         if corrected is None:
             raise NumericError("corrector failed to converge during curve tracing")
-        p, jac = corrected
-        tau = system.tangent(jac, tau)
+        p, tangent, _ = corrected
+        tau = tangent if np.dot(tangent, tau) >= 0 else -tangent
         points.append(p)
         if n_steps >= 5 and np.linalg.norm(p - start) < 0.9 * step:
             return TracedCurve(np.array(points), True, system.value.copy())
@@ -501,11 +493,11 @@ def _preimage_curves(
             continue
         if refined is None:
             continue
-        start, start_jac = refined
+        start, start_tangent, start_jac = refined
         if any(np.min(np.linalg.norm(c.points - start, axis=1)) < 5 * step for c in curves):
             continue
         try:
-            curves.append(_trace_curve(system, start, start_jac, step=step))
+            curves.append(_trace_curve(system, start, start_tangent, start_jac, step=step))
         except _RankDrop:
             rank_drops += 1
             continue
@@ -627,12 +619,11 @@ def hopf_invariant(
             pole = _stereographic_pole(
                 [c.points for c in curves_a + curves_b], seed + attempt
             )
-            total = 0.0
-            for ca in curves_a:
-                pa = _resample_closed(_project_curve(ca.points, pole), curve_points)
-                for cb in curves_b:
-                    pb = _resample_closed(_project_curve(cb.points, pole), curve_points)
-                    total += gauss_linking(pa, pb)
+            proj_a, proj_b = (
+                [_resample_closed(_project_curve(c.points, pole), curve_points) for c in curves]
+                for curves in (curves_a, curves_b)
+            )
+            total = sum(gauss_linking(pa, pb) for pa in proj_a for pb in proj_b)
             value = int(round(total))
             defect = abs(total - value)
             if defect >= 0.05:
@@ -680,6 +671,5 @@ def even_order_nullhomotopy_residual(
     for t in np.linspace(0.0, 1.0, tsteps):
         gamma = np.exp(1j * np.pi * t)
         W = pmap.eval_batch(gamma * Z) * gamma ** (-order)
-        res = np.abs(np.sum(W * W, axis=1) - 1.0)
-        worst = max(worst, float(res.max(initial=0.0)))
+        worst = max(worst, float(quadric_residual(W).max(initial=0.0)))
     return worst

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from quadrep import cli, maps
+from quadrep import cli, maps, numeric
 from quadrep.cli import main
 from quadrep.exact import Polynomial
 from quadrep.maps import PolyMap, hopf_pair
@@ -564,3 +564,28 @@ def test_consecutive_commands_share_no_parsed_state(tmp_path, capsys):
     assert code == 0 and report["mode"] == "exact" and "check" not in report
     assert report["checks"][0]["method"] == "full-expansion"
     assert cli._parser() is cli._parser()
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached before the point count was refused")
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("pi_np1:3", ["verify", "--mode", "sampled", "--samples", "1000000000000000"]),
+        ("pi_np1:3", ["invariants", "--check", "hemisphere", "--samples", "1000000000000000"]),
+        ("pi_n:2,3", ["invariants", "--check", "degree", "--grid", "1000000000x1000000000"]),
+    ],
+    ids=["sampled", "hemisphere", "degree-grid"],
+)
+def test_point_counts_beyond_the_budget_exit_2_before_any_array(tmp_path, capsys, monkeypatch, target, argv):
+    # points times coordinates are charged against the expansion budget
+    # before a sample or grid array is formed: numpy is out of reach
+    path = str(tmp_path / "doc.json")
+    run(capsys, "generate", target, "-o", path)
+    monkeypatch.setattr(numeric, "np", _NoArrays())
+    code, report, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and report is None and "Traceback" not in err
+    assert err.startswith("quadrep: ") and "exceed the expansion budget 5000000" in err

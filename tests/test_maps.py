@@ -669,6 +669,37 @@ def test_suspension_materializes_at_exactly_its_cost(target, monkeypatch):
     assert maps._materialize_suspension(node, cost - 1) is None
 
 
+def test_composition_materializes_at_exactly_its_cost():
+    # z1 * z3 squares no argument: compose charges 340 products to form z1,
+    # then 340 * 84 to multiply by z3, 28,900 in all; the former pre-check
+    # refused every budget below 340 squared
+    inner = catalog("pi_n:3,7")
+    assert [len(c) for c in inner.components] == [340, 340, 84, 84]
+    z = [Polynomial.variable(4, i) for i in range(4)]
+    node = CompositionNode(PolyMap.explicit([z[0] * z[2]], "z1*z3"), inner)
+    assert maps._materialize_composition(node, 28_900) == [(z[0] * z[2]).compose(inner.components)]
+    assert maps._materialize_composition(node, 28_899) is None
+
+
+def test_composition_precheck_refuses_below_the_squares_without_composing(monkeypatch):
+    # hopf.f's first component squares all four arguments, so compose would
+    # charge at least 2 * 340**2 + 2 * 84**2 products
+    f, _ = hopf_pair()
+    node = CompositionNode(f, catalog("pi_n:3,7"))
+    squares = 2 * 340**2 + 2 * 84**2
+
+    class Composed(Exception):
+        pass
+
+    def compose(*args, **kwargs):
+        raise Composed
+
+    monkeypatch.setattr(Polynomial, "compose", compose)
+    assert maps._materialize_composition(node, squares - 1) is None
+    with pytest.raises(Composed):
+        maps._materialize_composition(node, squares)
+
+
 # ------------------------------------------------------ expansion oracle
 #
 # The expansion proof forms q(f) - q^k as one sum of products.  The oracle

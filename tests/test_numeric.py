@@ -329,7 +329,7 @@ def test_gauss_linking_is_translation_invariant(curves, offset):
 def test_hopf_invariant_of_hopf_map():
     f, _ = hopf_pair()
     res = hopf_invariant(f, seed=0)
-    assert abs(res.value) == 1
+    assert res.value == -1
     assert res.defect < 0.05
     assert len(res.curves) == 2
     for curve in res.curves:
@@ -341,6 +341,7 @@ def test_hopf_invariant_of_hopf_map():
 def test_hopf_invariant_seed_and_value_independent():
     f, _ = hopf_pair()
     base = hopf_invariant(f, seed=0).value
+    assert hopf_invariant(f, seed=1).value == base
     assert hopf_invariant(f, seed=3).value == base
     vv = (np.array([0.0, 1.0, 0.0]), np.array([0.0, -0.3, 0.9]))
     assert hopf_invariant(f, values=vv, seed=2).value == base
@@ -377,6 +378,127 @@ def test_hopf_invariant_scales_with_degree():
     base = hopf_invariant(f, seed=0).value
     res = hopf_invariant(catalog("pi3_s2:-1"), seed=0)
     assert res.value == -base
+
+
+@pytest.mark.parametrize("d", [-3, -2, -1, 1, 2, 3])
+def test_hopf_invariant_of_pi3_s2_d_is_minus_d(d):
+    # absolute values, not |value|: a reflected stereographic projection
+    # fails here (flipping every fiber leaves the linking number as it is,
+    # so the orientation test below pins the fibers)
+    assert hopf_invariant(catalog(f"pi3_s2:{d}"), seed=1).value == -d
+
+
+# The tracer takes one SVD of the constraint Jacobian JG per Newton iterate.
+# The oracles below are the former mechanisms: the fiber orientation from an
+# orthonormal complement (u, v) of [p; tau] and the lifted 2x2 determinant,
+# and the Newton step from the normal equations.
+
+
+def former_orientation(JG, p, tau):
+    _, _, vt = np.linalg.svd(np.vstack([p, tau]))
+    u, v = vt[2], vt[3]
+    lifted = np.array([[JG[1] @ u, JG[1] @ v], [JG[2] @ u, JG[2] @ v]])
+    return np.sign(np.linalg.det(np.vstack([p, tau, u, v])) * np.linalg.det(lifted))
+
+
+def former_newton(system, p, tol=1e-10, max_iter=80):
+    for _ in range(max_iter):
+        G, JG, h = system.residual_and_jac(p)
+        gmax = np.max(np.abs(G))
+        if gmax < tol:
+            return None if np.dot(h, system.value) <= 0.25 else p
+        sv = np.linalg.svd(JG, compute_uv=False)
+        if sv[-1] < 1e-8 * max(sv[0], 1e-12):
+            return "rank drop" if gmax < 1e-3 else None
+        p = p - JG.T @ np.linalg.solve(JG @ JG.T, G)
+    return None
+
+
+def newton_outcome(system, p):
+    try:
+        return system.newton(p, max_iter=80)
+    except numeric._RankDrop:
+        return "rank drop"
+
+
+def test_fiber_orientation_matches_the_lifted_determinant_on_random_systems():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        p = rng.normal(size=4)
+        p /= np.linalg.norm(p)
+        JG = np.vstack([2 * p, rng.normal(size=(2, 4))])
+        tau = np.linalg.svd(JG)[2][-1]
+        assert np.sign(np.linalg.det(np.vstack([JG, tau]))) == former_orientation(JG, p, tau)
+
+
+@pytest.mark.parametrize("target", ["pi3_s2:1", "pi3_s2:-2", "pi3_s2:3"])
+def test_newton_and_orientation_match_the_former_ones_at_curve_starts(target):
+    pmap = catalog(target)
+    fused = numeric._MapAndJacobian(pmap)
+    converged = 0
+    # the regular values actually traced, perturbed where (+-1, 0, 0) is not
+    for curve in hopf_invariant(pmap, seed=1).curves:
+        system = numeric._PreimageSystem(fused, curve.value)
+        for raw in sample_sphere(3, 16, 5):
+            refined, former = newton_outcome(system, raw), former_newton(system, raw)
+            if refined is None or isinstance(refined, str):
+                assert refined == former
+                continue
+            converged += 1
+            assert np.max(np.abs(refined[0] - former)) < 1e-12
+        p, tau, JG = system.newton(curve.points[0])
+        assert np.array_equal(p, curve.points[0])
+        assert np.max(np.abs(JG @ tau)) < 1e-9 and abs(np.linalg.norm(tau) - 1) < 1e-12
+        sign = np.sign(np.linalg.det(np.vstack([JG, tau])))
+        assert sign == former_orientation(JG, p, tau)
+        # the curve was traced along the oriented first tangent
+        assert sign * np.dot(curve.points[1] - p, tau) > 0
+    assert converged >= 2
+
+
+def test_each_newton_iterate_takes_one_svd_and_no_solve(monkeypatch):
+    fused = numeric._MapAndJacobian(catalog("pi3_s2:2"))
+    counts = {"svd": 0, "iterates": 0}
+    svd, residual_and_jac = np.linalg.svd, numeric._PreimageSystem.residual_and_jac
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_residual(self, p):
+        counts["iterates"] += 1
+        return residual_and_jac(self, p)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the tracer solves no normal equations")
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(numeric._PreimageSystem, "residual_and_jac", counted_residual)
+    curves = numeric._preimage_curves(fused, np.array([1.0, 0.0, 0.0]), seed=1, n_seeds=16)
+    assert curves and all(c.closed for c in curves)
+    # only an iterate that lands on the antipodal sheet returns before its SVD
+    assert counts["iterates"] - 16 <= counts["svd"] <= counts["iterates"]
+
+
+def test_sampling_refuses_point_counts_beyond_the_budget_before_any_array(monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} reached before the point count was refused")
+
+    monkeypatch.setattr(numeric, "np", NoArrays())
+    limit = maps.DEFAULT_EXPANSION_BUDGET
+    with pytest.raises(maps.InfeasibleError, match="exceed the expansion budget"):
+        sample_sphere(3, limit // 4 + 1)
+    with pytest.raises(maps.InfeasibleError, match="exceed the expansion budget"):
+        sample_quadric(5, limit // 5 + 1)
+    with pytest.raises(maps.InfeasibleError, match="exceed the expansion budget"):
+        sphere_degree(catalog("pi_n:2,3"), grid=(10**9, 10**9))
+
+
+def test_sampling_admits_exactly_the_budget():
+    limit = maps.DEFAULT_EXPANSION_BUDGET
+    assert sample_sphere(4, limit // 5).shape == (limit // 5, 5)
 
 
 def test_hopf_invariant_of_a_map_that_overflows_is_a_numeric_error():
