@@ -41,6 +41,13 @@ def _refuse_bool(value, what: str):
         raise TypeError(f"{what} {value!r} is a bool, not an integer")
 
 
+def _require_int(value, what: str):
+    """Refuse anything but an int: nothing inexact is coerced to a count."""
+    _refuse_bool(value, what)
+    if not isinstance(value, int):
+        raise TypeError(f"{what} {value!r} is not an integer")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -269,6 +276,7 @@ class Polynomial:
     __slots__ = ("nvars", "_den", "_num", "_degree", "_evaluator")
 
     def __new__(cls, nvars: int, terms: dict[Monomial, GaussianRational] | None = None):
+        _require_int(nvars, "the variable count")
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         if bool in map(type, chain.from_iterable(terms or ())):
@@ -340,16 +348,19 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
+        _require_int(nvars, "the variable count")
         return cls._build(nvars, 1, {}, _width(0))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
+        _require_int(nvars, "the variable count")
         re, im, den = _pair(GaussianRational.coerce(value))
         return cls._build(nvars, den, {0: (re, im)} if re or im else {}, _width(0))
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
-        _refuse_bool(index, "the variable index")
+        _require_int(nvars, "the variable count")
+        _require_int(index, "the variable index")
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         mono = tuple(int(i == index) for i in range(nvars))
@@ -542,7 +553,7 @@ class Polynomial:
 
     def extend(self, nvars: int) -> "Polynomial":
         """View in a larger variable set; new variables are appended."""
-        _refuse_bool(nvars, "the variable count")
+        _require_int(nvars, "the variable count")
         if nvars < self.nvars:
             raise ValueError("cannot shrink the variable set")
         if nvars == self.nvars:
@@ -552,7 +563,7 @@ class Polynomial:
         return Polynomial._build(nvars, self._den, {k << shift: v for k, v in self._num.items()}, width)
 
     def derivative(self, index: int) -> "Polynomial":
-        _refuse_bool(index, "the variable index")
+        _require_int(index, "the variable index")
         if not 0 <= index < self.nvars:
             raise ValueError("derivative variable out of range")
         width = _width(self._degree)

@@ -47,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import GR_I, Evaluator, GaussianRational, Polynomial, int_text, sum_of_products
+from .exact import GR_I, Evaluator, GaussianRational, Polynomial, _require_int, int_text, sum_of_products
 
 # Product-count budget for a single full expansion, and point budget for the
 # grid zero test.  Both are deliberate ceilings: beyond them the factored
@@ -214,6 +214,10 @@ class PolyMap:
     def __post_init__(self):
         if self.components is None and self.node is None:
             raise ValueError("a PolyMap needs explicit components or a structure node")
+        if self.order is not None:
+            _require_int(self.order, "the order")  # a document must spell it back
+            if self.order < 0:
+                raise ValueError(f"the order must be >= 0, got {self.order}")
         if self.components is not None:
             object.__setattr__(self, "components", tuple(self.components))
             if len(self.components) != self.r:
@@ -253,7 +257,7 @@ class PolyMap:
             out = self.node.eval_batch(Z)
         else:
             evaluator = self.evaluator()
-            check_batch_cost(evaluator, len(Z))
+            check_room(evaluator.batch_cost(len(Z)), "batch power tables")
             out = evaluator.eval_batch(Z)
         return out[0] if single else out
 
@@ -292,11 +296,11 @@ class PolyMap:
         return [[c.derivative(i) for i in range(self.m)] for c in self.components]
 
 
-def check_batch_cost(evaluator: Evaluator, rows: Optional[int] = None):
-    """Refuse a batch power table over ``rows`` points (a full block when
-    None) beyond the expansion budget, before it is allocated."""
-    if evaluator.batch_cost(rows) > DEFAULT_EXPANSION_BUDGET:
-        raise InfeasibleError(f"batch power tables exceed the expansion budget {DEFAULT_EXPANSION_BUDGET}")
+def check_room(units: int, what: str, limit: int = DEFAULT_EXPANSION_BUDGET):
+    """Refuse ``units`` of room (power-table entries or point coordinates)
+    beyond ``limit``, before anything that size is allocated."""
+    if units > limit:
+        raise InfeasibleError(f"{what} exceed the expansion budget {limit}")
 
 
 # -------------------------------------------------------------- b pairing
@@ -588,8 +592,7 @@ def _grid_cert(pmap: PolyMap, k: int, grid_budget: int, expansion_budget: int) -
     if pmap.components is None:
         raise InfeasibleError("grid zero test needs materialized components")
     evaluator = pmap.evaluator()
-    if evaluator.power_cost() > expansion_budget:
-        raise InfeasibleError(f"grid zero test power tables exceed the expansion budget {expansion_budget}")
+    check_room(evaluator.power_cost(), "grid zero test power tables", expansion_budget)
     den, rows = evaluator.integer_terms()
     # Every coordinate of a grid point c lies in 0..top, so |A_j(c)| and
     # |B_j(c)| are at most the l1 norms of A_j and B_j times top**deg f_j,
@@ -639,6 +642,7 @@ def certify_order(
     node and components too large to square skips it: its construction
     decides the claim.  The map is not modified.
     """
+    _require_int(k, "the claimed order")
     if k < 0:
         raise ValueError("claimed order must be nonnegative")
     if method not in ("auto", "expansion", "grid"):
@@ -708,6 +712,7 @@ def suspend(
     real sphere preserves the equator and both hemispheres, which is what
     makes it the ell-fold suspension of f on homotopy classes.
     """
+    _require_int(ell, "the new variable count")
     if ell < 1:
         raise ValueError("suspension needs at least one new variable")
     if f.m != g.m or f.r != g.r:

@@ -191,3 +191,11 @@ def test_grid_point_budget_message_unchanged():
         "grid zero test needs 83064854925 points for per-variable bounds "
         "[72, 72, 72, 72, 64, 44]; budget is 200000"
     )
+
+
+def test_grid_power_tables_are_charged_up_to_the_budget():
+    pmap = catalog("pi_n:2,3")
+    cost = pmap.evaluator().power_cost()
+    assert _grid_cert(pmap, pmap.order, DEFAULT_GRID_BUDGET, cost).verdict
+    with pytest.raises(InfeasibleError, match=f"^grid zero test power tables exceed the expansion budget {cost - 1}$"):
+        _grid_cert(pmap, pmap.order, DEFAULT_GRID_BUDGET, cost - 1)

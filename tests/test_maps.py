@@ -792,3 +792,35 @@ def test_single_accumulation_fails_corrupted_maps_as_the_former_expansion(target
     # within a budget too small for the components, both factor or both refuse
     new, old = both_expansion_certs(pm, pm.order, monkeypatch, budget=10)
     assert new == old
+
+
+@pytest.mark.parametrize("order, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)])
+def test_polymap_refuses_an_order_a_document_cannot_spell(order, error):
+    # "order": true would be written, and read back as a malformed document
+    with pytest.raises(error, match="the order"):
+        PolyMap.explicit(hopf_pair()[0].components, "x", order=order)
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: suspend(*hopf_pair(), True), "the new variable count True"),
+        (lambda: Polynomial(True, {(1,): 1}), "the variable count True"),
+        (lambda: Polynomial.zero(True), "the variable count True"),
+        (lambda: Polynomial.variable(True, 0), "the variable count True"),
+        (lambda: Polynomial(2.0, {}), "the variable count 2.0"),
+        (lambda: Polynomial.constant(True, 1), "the variable count True"),
+        (lambda: Polynomial.variable(3, 1.0), "the variable index 1.0"),
+        (lambda: Polynomial.variable(2, 0).extend(3.0), "the variable count 3.0"),
+        (lambda: Polynomial.variable(2, 0).derivative(0.0), "the variable index 0.0"),
+        (lambda: certify_order(hopf_pair()[0], True), "the claimed order True"),
+        (lambda: certify_order(hopf_pair()[0], 2.0), "the claimed order 2.0"),
+    ],
+    ids=[
+        "suspend", "polynomial", "zero", "variable", "float-polynomial", "constant", "float-index", "float-extend",
+        "float-derivative", "certify", "float-certify",
+    ],
+)
+def test_counts_are_refused_at_entry_unless_ints(build, what):
+    with pytest.raises(TypeError, match=f"^{what} is"):
+        build()

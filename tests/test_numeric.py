@@ -135,6 +135,73 @@ def test_quadric_point_record():
     assert qp.residual < 1e-15
 
 
+# The former bodies the single retraction and inverse lift replaced, kept
+# as oracles: the degree, Hopf and sampled values must keep every bit.
+
+
+def _former_retraction_batch(W):
+    x, y = W.real, W.imag
+    scale = 1.0 / np.sqrt(np.sum(y * y, axis=1) + 1.0)
+    return scale[:, None] * x
+
+
+def _former_h_and_jacobian(fused, P):
+    out = fused.evaluator.eval_batch(P)
+    W = out[:, : fused.r]
+    J = out[:, fused.r :].reshape(-1, fused.r, fused.m)
+    x, y = W.real, W.imag
+    s = 1.0 / np.sqrt(np.sum(y * y, axis=1) + 1.0)
+    h = s[:, None] * x
+    ydy = np.einsum("nr,nri->ni", y, J.imag)
+    dh = s[:, None, None] * J.real - (s**3)[:, None, None] * x[:, :, None] * ydy[:, None, :]
+    return h, dh
+
+
+def _former_sample_quadric_tail(v, w):
+    x = np.sqrt(np.sum(w * w, axis=1, keepdims=True) + 1.0) * v
+    return x + 1j * w
+
+
+@pytest.mark.parametrize("target", ["pi3_s2:1", "pi_n:2,3"])
+def test_retraction_keeps_every_bit_of_the_former_bodies(target):
+    pmap = catalog(target)
+    P = sample_sphere(pmap.m - 1, 10_000, seed=11)
+    fused = numeric._MapAndJacobian(pmap)
+    h, dh = fused.h_and_jacobian(P)
+    h0, dh0 = _former_h_and_jacobian(fused, P)
+    assert np.array_equal(h, h0) and np.array_equal(dh, dh0)
+    for points in (P, sample_quadric(pmap.m, 10_000, seed=12)):
+        W = pmap.eval_batch(points)
+        assert np.array_equal(numeric._retract(W)[1], _former_retraction_batch(W))
+
+
+def test_sample_quadric_is_the_inverse_lift_of_its_draws():
+    count, m, seed, spread = 10_000, 4, 3, 0.35
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, m))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    w = rng.normal(size=(count, m))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w *= spread * rng.uniform(0.0, 1.0, size=(count, 1))
+    w -= np.sum(w * v, axis=1, keepdims=True) * v
+    assert np.array_equal(sample_quadric(m, count, seed, spread), _former_sample_quadric_tail(v, w))
+
+
+def test_tangent_lift_reciprocal_form_matches_the_division():
+    for p in sample_quadric(4, 1000, seed=8):
+        v, w = tangent_lift(p)
+        assert np.abs(v - p.real / np.sqrt(np.sum(p.imag * p.imag) + 1.0)).max() <= 1e-15
+        assert np.array_equal(w, p.imag)
+
+
+def test_tangent_unlift_serves_one_point_or_rows():
+    Z = sample_quadric(3, 200, seed=9)
+    V = np.array([tangent_lift(p)[0] for p in Z])
+    rows = tangent_unlift(V, Z.imag)
+    assert np.array_equal(rows, np.array([tangent_unlift(v, w) for v, w in zip(V, Z.imag)]))
+    assert np.abs(rows - Z).max() < 1e-12
+
+
 # -------------------------------------------------------------------- scans
 
 
@@ -499,6 +566,31 @@ def test_sampling_refuses_point_counts_beyond_the_budget_before_any_array(monkey
 def test_sampling_admits_exactly_the_budget():
     limit = maps.DEFAULT_EXPANSION_BUDGET
     assert sample_sphere(4, limit // 5).shape == (limit // 5, 5)
+
+
+def test_point_counts_one_coordinate_past_the_budget_are_refused():
+    # 1,666,667 points of 3 coordinates: the budget 5,000,000 plus one
+    limit = maps.DEFAULT_EXPANSION_BUDGET
+    message = f"^{(limit + 1) // 3} points of 3 coordinates exceed the expansion budget {limit}$"
+    with pytest.raises(maps.InfeasibleError, match=message):
+        sample_sphere(2, (limit + 1) // 3)
+    with pytest.raises(maps.InfeasibleError, match=message):
+        sphere_degree(catalog("pi_n:2,3"), grid=((limit + 1) // 3, 1))
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "limit-plus-one"])
+def test_batch_power_tables_are_charged_up_to_the_budget(monkeypatch, extra):
+    # a real table at the budget takes 80 MB: the charge is stubbed instead
+    units = maps.DEFAULT_EXPANSION_BUDGET + extra
+    monkeypatch.setattr(numeric.Evaluator, "batch_cost", lambda self, rows=None: units)
+    f, _ = hopf_pair()
+    charges = (lambda: f.eval_batch(sample_sphere(3, 4)), lambda: numeric._MapAndJacobian(f))
+    for charge in charges:
+        if extra:
+            with pytest.raises(maps.InfeasibleError, match="^batch power tables exceed the expansion budget 5000000$"):
+                charge()
+        else:
+            charge()
 
 
 def test_hopf_invariant_of_a_map_that_overflows_is_a_numeric_error():
