@@ -182,6 +182,13 @@ def _check_hopf(pmap: PolyMap, args) -> list[dict]:
             "defect": res.defect,
             "tolerance": DEGREE_DEFECT_TOL,
             "curves": len(res.curves),
+            "nodes": res.nodes,
+            "rejected_steps": res.rejected_steps,
+            "newton_iterations": res.newton_iterations,
+            "overflow_seeds": res.overflow_seeds,
+            "rank_drop_seeds": res.rank_drop_seeds,
+            "retries": res.retries,
+            "min_singular_values": res.min_singular_values,
         }
     ]
 

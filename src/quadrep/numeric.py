@@ -299,10 +299,11 @@ class _MapAndJacobian:
         # calls range from one point to whole grids: charge a full block once
         check_room(self.evaluator.batch_cost(), "batch power tables")
 
-    def h_and_jacobian(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def h_and_jacobian(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Retraction composed with the map, and its Jacobian, at real points.
 
-        Returns h [N, r] and dh [N, r, m] with dh[n, :, i] = dh/dp_i.
+        Returns s [N], h [N, r] and dh [N, r, m] with dh[n, :, i] = dh/dp_i
+        and s = 1 / sqrt(|Im F|^2 + 1), which is 0 where |Im F|^2 overflowed.
         """
         out = self.evaluator.eval_batch(P)
         W = out[:, : self.r]
@@ -310,7 +311,7 @@ class _MapAndJacobian:
         s, h = _retract(W)
         ydy = np.einsum("nr,nri->ni", W.imag, J.imag)
         dh = s[:, None, None] * J.real - (s**3)[:, None, None] * W.real[:, :, None] * ydy[:, None, :]
-        return h, dh
+        return s, h, dh
 
 
 def sphere_degree(pmap: PolyMap, grid: tuple[int, int] = (400, 200)) -> DegreeResult:
@@ -335,7 +336,7 @@ def sphere_degree(pmap: PolyMap, grid: tuple[int, int] = (400, 200)) -> DegreeRe
     P = np.stack([st * cf, st * sf, ct], axis=1)
     dP_t = np.stack([ct * cf, ct * sf, -st], axis=1)
     dP_f = np.stack([-st * sf, st * cf, np.zeros_like(T)], axis=1)
-    h, dh = fused.h_and_jacobian(P)
+    _, h, dh = fused.h_and_jacobian(P)
     h_t = np.einsum("nri,ni->nr", dh, dP_t)
     h_f = np.einsum("nri,ni->nr", dh, dP_f)
     integrand = np.einsum("ni,ni->n", h, np.cross(h_t, h_f))
@@ -358,19 +359,39 @@ class TracedCurve:
     points: np.ndarray          # [N, 4] unit vectors
     closed: bool
     value: np.ndarray           # the regular value in R^3
+    rejected: int = 0           # corrector steps halved and retried
+    min_singular: float = np.inf  # smallest singular value of JG over the nodes
 
 
 class _RankDrop(Exception):
     pass
 
 
-def _orthonormal_complement(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormal_complement(c: np.ndarray) -> np.ndarray:
+    """Rows e1, e2 with (c, e1, e2) a positive orthonormal basis of R^3."""
     probe = np.zeros(3)
     probe[int(np.argmin(np.abs(c)))] = 1.0
     e1 = probe - np.dot(probe, c) * c
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(c, e1)
-    return e1, e2
+    return np.stack([e1, np.cross(c, e1)])
+
+
+# per-row outcomes of _PreimageSystem.newton; _FAILED rows are dropped silently
+_CONVERGED, _FAILED, _RANK_DROP, _OVERFLOW = range(4)
+
+
+@dataclass
+class _NewtonRows:
+    """Per-row outcome of one batched Newton run; rows not _CONVERGED keep
+    zeros (and their start point) in the other fields."""
+
+    status: np.ndarray      # [N]
+    points: np.ndarray      # [N, 4]
+    tangents: np.ndarray    # [N, 4] unit null vectors of JG
+    jacobians: np.ndarray   # [N, 3, 4] JG at the converged points
+    sv_min: np.ndarray      # [N] smallest singular value of JG there
+    first: np.ndarray       # [N] length of the first Newton step
+    second: np.ndarray      # [N] length of the second
 
 
 class _PreimageSystem:
@@ -379,40 +400,87 @@ class _PreimageSystem:
     def __init__(self, fused: _MapAndJacobian, value: np.ndarray):
         self.fused = fused
         self.value = value
-        self.e1, self.e2 = _orthonormal_complement(value)
+        self.normal = _orthonormal_complement(value)
+        self.iterations = 0  # Newton iterates summed over rows
 
-    def residual_and_jac(self, p: np.ndarray):
-        h, dh = self.fused.h_and_jacobian(p[None, :])
-        h, Jh = h[0], dh[0]  # [3], [3, 4]
-        G = np.array(
-            [np.dot(p, p) - 1.0, np.dot(self.e1, h), np.dot(self.e2, h)]
-        )
-        JG = np.vstack([2 * p, self.e1 @ Jh, self.e2 @ Jh])
-        return G, JG, h
+    def residual_and_jac(self, P: np.ndarray):
+        """s (as in h_and_jacobian), G [N, 3], JG [N, 3, 4] and h [N, 3] at
+        the rows of P: G = (|p|^2 - 1, e1.h, e2.h), JG its Jacobian."""
+        s, h, dh = self.fused.h_and_jacobian(P)
+        G = np.concatenate([np.sum(P * P, axis=1)[:, None] - 1.0, h @ self.normal.T], axis=1)
+        JG = np.concatenate([2 * P[:, None, :], self.normal @ dh], axis=1)
+        return s, G, JG, h
 
-    def newton(self, p: np.ndarray, tol: float = 1e-10, max_iter: int = 60):
-        """(point, unit tangent, constraint Jacobian) on convergence, else None.
+    def newton(self, P: np.ndarray, tol: float = 1e-10, max_iter: int = 60) -> _NewtonRows:
+        """Newton's method on every row of P [N, 4] at once, with per-row outcomes.
 
-        Each iterate takes one SVD JG = U diag(sv) Vt, which gives the rank
-        test, the least-norm step Vt[:3]^T (U^T G / sv) = JG^T (JG JG^T)^-1 G
-        and, at convergence, the tangent Vt[3], the null vector of JG.
+        Each iterate takes one stacked SVD JG = U diag(sv) Vt over the rows
+        still running, which gives the rank test, the least-norm step
+        Vt[:3]^T (U^T G / sv) = JG^T (JG JG^T)^-1 G and, at convergence, the
+        tangent Vt[3], the null vector of JG.  A row whose map output, |Im F|^2,
+        h, dh, G, JG or next iterate is not finite is _OVERFLOW.  A row that
+        converges to the antipodal sheet, meets a singular JG away from the
+        solution set or runs out of iterates is _FAILED; a singular JG at the
+        solution set is _RANK_DROP: the value is not regular.
         """
-        p = p.copy()
-        for _ in range(max_iter):
-            G, JG, h = self.residual_and_jac(p)
-            gmax = np.max(np.abs(G))
-            if gmax < tol and np.dot(h, self.value) <= 0.25:
-                return None  # converged to the antipodal sheet
-            u, sv, vt = np.linalg.svd(JG)
-            if sv[-1] < 1e-8 * max(sv[0], 1e-12):
-                if gmax < 1e-3:
-                    # singular Jacobian right at the solution set: not regular
-                    raise _RankDrop
-                return None  # singular far from the solution set: seed fails
-            if gmax < tol:
-                return p, vt[-1], JG
-            p = p - vt[:3].T @ ((u.T @ G) / sv)
-        return None
+        n = len(P)
+        out = _NewtonRows(
+            np.full(n, _FAILED), P.copy(), np.zeros((n, 4)), np.zeros((n, 3, 4)),
+            np.zeros(n), np.zeros(n), np.zeros(n),
+        )
+        rows, Q = np.arange(n), P
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(max_iter):
+                s, G, JG, h = self.residual_and_jac(Q)
+                self.iterations += len(rows)
+                gmax = np.max(np.abs(G), axis=1)
+                finite = np.isfinite(gmax + JG.sum(axis=(1, 2))) & (s > 0)
+                alive = finite & ((gmax >= tol) | (h @ self.value > 0.25))
+                if not alive.all():
+                    out.status[rows[~finite]] = _OVERFLOW
+                    rows, Q, G, JG, gmax = rows[alive], Q[alive], G[alive], JG[alive], gmax[alive]
+                    if not len(rows):
+                        break
+                u, sv, vt = np.linalg.svd(JG)
+                singular = sv[:, -1] < 1e-8 * np.maximum(sv[:, 0], 1e-12)
+                done = singular | (gmax < tol)
+                if done.any():
+                    out.status[rows[singular & (gmax < 1e-3)]] = _RANK_DROP
+                    hit = done & ~singular
+                    at = rows[hit]
+                    out.status[at] = _CONVERGED
+                    out.points[at], out.tangents[at] = Q[hit], vt[hit, -1]
+                    out.jacobians[at], out.sv_min[at] = JG[hit], sv[hit, -1]
+                    keep = ~done
+                    rows, Q, G, u, sv, vt = rows[keep], Q[keep], G[keep], u[keep], sv[keep], vt[keep]
+                    if not len(rows):
+                        break
+                coef = (G[:, None, :] @ u)[:, 0] / sv  # U^T G / sv, row by row
+                step = (coef[:, None, :] @ vt[:, :3])[:, 0]
+                Q = Q - step
+                if it < 2:
+                    (out.first if it == 0 else out.second)[rows] = np.sqrt(np.sum(step * step, axis=1))
+                finite = np.isfinite(Q.sum(axis=1))
+                if not finite.all():
+                    out.status[rows[~finite]] = _OVERFLOW
+                    rows, Q = rows[finite], Q[finite]
+        return out
+
+
+# Step-length control of the curve corrector (Allgower and Georg, Numerical
+# Continuation Methods, ch. 6).  Each accepted step gives the contraction
+# kappa = |second Newton step| / |first|, the first correction delta and the
+# angle alpha between consecutive tangents; the factor
+# f = max(sqrt(kappa / _KAPPA), sqrt(delta / _DELTA), alpha / _ALPHA, 1/2)
+# halves and retries the step when f > 2 and otherwise sets it to
+# min(step / f, _STEP_MAX).  With these nominal values pi3_s2:1 traces about
+# 100 nodes per fiber (629 at the former fixed step 1e-2) with no rejected
+# step, and every chord midpoint of pi3_s2:+-1, +-2, +-3 lies within 2e-4 of
+# its curve; the linking defects are those of the fixed step to 3 digits.
+_KAPPA, _DELTA, _ALPHA = 0.3, 2e-3, 0.12
+_STEP_FIRST, _STEP_MAX, _STEP_MIN = 1e-2, 0.1, 1e-6
+# a Newton start this close to a traced curve's polyline lies on that curve
+_SAME_CURVE = 0.05
 
 
 def _trace_curve(
@@ -420,8 +488,7 @@ def _trace_curve(
     start: np.ndarray,
     start_tangent: np.ndarray,
     start_jac: np.ndarray,
-    step: float = 1e-2,
-    newton_tol: float = 1e-10,
+    start_sv: float,
     max_steps: int = 100_000,
 ) -> TracedCurve:
     """Predictor-corrector continuation along the preimage circle.
@@ -434,55 +501,83 @@ def _trace_curve(
     (*, 0, e1^T Jh u, e1^T Jh v), (*, 0, e2^T Jh u, e2^T Jh v), (0, 1, 0, 0),
     so det [JG; tau] det B = 2 det(lifted) with lifted the 2x2 block
     e_i^T Jh (u, v): the sign of det [JG; tau] is that orientation.
+
+    The curve closes when the start lies ahead of the last node within the
+    next step, so no chord is longer than a step.
     """
     points = [start]
-    p = start
+    p, step, rejected, smallest = start, _STEP_FIRST, 0, start_sv
     tau = start_tangent if np.linalg.det(np.vstack([start_jac, start_tangent])) > 0 else -start_tangent
-    for n_steps in range(max_steps):
-        predictor = p + step * tau
-        corrected = system.newton(predictor, tol=newton_tol)
-        if corrected is None:
-            raise NumericError("corrector failed to converge during curve tracing")
-        p, tangent, _ = corrected
-        tau = tangent if np.dot(tangent, tau) >= 0 else -tangent
+    for _ in range(max_steps):
+        out = system.newton((p + step * tau)[None, :])
+        status = out.status[0]
+        if status == _OVERFLOW:
+            raise NumericError("the map overflowed while tracing a preimage curve")
+        if status == _RANK_DROP:
+            raise _RankDrop
+        factor = np.inf
+        if status == _CONVERGED:
+            tangent = out.tangents[0] if np.dot(out.tangents[0], tau) >= 0 else -out.tangents[0]
+            first, second = out.first[0], out.second[0]
+            factor = max(
+                np.sqrt(second / (first * _KAPPA)) if first > 0 else 0.0,
+                np.sqrt(first / _DELTA),
+                np.arccos(min(np.dot(tangent, tau), 1.0)) / _ALPHA,
+                0.5,
+            )
+        if factor > 2:
+            step /= 2
+            rejected += 1
+            if step < _STEP_MIN:
+                raise NumericError("corrector failed to converge during curve tracing")
+            continue
+        p, tau = out.points[0], tangent
         points.append(p)
-        if n_steps >= 5 and np.linalg.norm(p - start) < 0.9 * step:
-            return TracedCurve(np.array(points), True, system.value.copy())
+        smallest = min(smallest, out.sv_min[0])
+        step = min(step / factor, _STEP_MAX)
+        gap = start - p
+        if np.dot(gap, tau) > 0 and np.dot(gap, gap) < step * step:
+            return TracedCurve(np.array(points), True, system.value.copy(), rejected, smallest)
     raise NumericError("curve failed to close within the step budget")
+
+
+def _polyline_distance(x: np.ndarray, points: np.ndarray) -> float:
+    """Distance from x to the closed polyline through the rows of points."""
+    d = np.roll(points, -1, axis=0) - points
+    t = np.clip(np.sum((x - points) * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
+    return float(np.min(np.linalg.norm(points + t[:, None] * d - x, axis=1)))
 
 
 def _preimage_curves(
     fused: _MapAndJacobian,
     value: np.ndarray,
     seed: int,
+    tally: "HopfResult",
     n_seeds: int = 64,
-    step: float = 1e-2,
 ) -> list[TracedCurve]:
+    """Up to 8 closed preimage curves of value, from n_seeds Newton starts
+    refined as one batch; dropped seeds and Newton iterates go to tally."""
     system = _PreimageSystem(fused, value)
-    seeds = sample_sphere(3, n_seeds, seed)
+    refined = system.newton(sample_sphere(3, n_seeds, seed), max_iter=80)
+    overflows = int(np.count_nonzero(refined.status == _OVERFLOW))
+    rank_drops = int(np.count_nonzero(refined.status == _RANK_DROP))
     curves: list[TracedCurve] = []
-    rank_drops = overflows = 0
-    for raw in seeds:
-        try:
-            refined = system.newton(raw.copy(), max_iter=80)
-        except _RankDrop:
-            rank_drops += 1
-            continue
-        except FloatingPointError:
-            overflows += 1  # Newton left the sphere far enough to overflow: the seed fails
-            continue
-        if refined is None:
-            continue
-        start, start_tangent, start_jac = refined
-        if any(np.min(np.linalg.norm(c.points - start, axis=1)) < 5 * step for c in curves):
+    for i in np.flatnonzero(refined.status == _CONVERGED):
+        start = refined.points[i]
+        if any(_polyline_distance(start, c.points) < _SAME_CURVE for c in curves):
             continue
         try:
-            curves.append(_trace_curve(system, start, start_tangent, start_jac, step=step))
+            curves.append(
+                _trace_curve(system, start, refined.tangents[i], refined.jacobians[i], refined.sv_min[i])
+            )
         except _RankDrop:
             rank_drops += 1
             continue
         if len(curves) >= 8:
             break
+    tally.newton_iterations += system.iterations
+    tally.overflow_seeds += overflows
+    tally.rank_drop_seeds += rank_drops
     if not curves and rank_drops:
         # every solution hit a Jacobian rank drop: the value is not regular
         raise _RankDrop
@@ -559,6 +654,30 @@ class HopfResult:
     value: int
     defect: float
     curves: list[TracedCurve] = field(default_factory=list)
+    # margins, summed over both values and every attempt
+    newton_iterations: int = 0  # Newton iterates over all rows, seeds and corrector
+    overflow_seeds: int = 0     # seeds dropped because an iterate overflowed
+    rank_drop_seeds: int = 0    # seeds or traces dropped at a rank drop on the solution set
+    retries: int = 0            # regular values perturbed after a rank drop
+
+    @property
+    def nodes(self) -> list[int]:
+        return [len(c.points) for c in self.curves]
+
+    @property
+    def rejected_steps(self) -> int:
+        return sum(c.rejected for c in self.curves)
+
+    @property
+    def min_singular_values(self) -> list[float]:
+        return [float(c.min_singular) for c in self.curves]
+
+
+def _regular_value(v) -> np.ndarray:
+    u = np.asarray(v, dtype=float)
+    if u.shape != (3,) or not np.all(np.isfinite(u)) or not np.any(u):
+        raise ValueError(f"a regular value must be a finite nonzero 3-vector, got {v!r}")
+    return u / np.linalg.norm(u)
 
 
 def hopf_invariant(
@@ -575,25 +694,27 @@ def hopf_invariant(
     integral.  A constant-like map has no preimage for generic values; the
     invariant is 0 by convention in that case.  Rank drops along a curve
     mean the value was not regular; the values are then perturbed and the
-    computation retried.
+    computation retried.  Given values must be finite, nonzero and distinct
+    3-vectors (ValueError otherwise).
     """
     if pmap.m != 4 or pmap.r != 3:
         raise DimensionMismatch("hopf invariant needs a map C^4 -> C^3")
-    fused = _MapAndJacobian(pmap)
     if values is None:
         v1, v2 = np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])
     else:
-        v1, v2 = (np.asarray(v, dtype=float) for v in values)
-        v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+        v1, v2 = (_regular_value(v) for v in values)
+        if np.array_equal(v1, v2):
+            raise ValueError("the two regular values must be distinct directions")
+    fused = _MapAndJacobian(pmap)
+    result = HopfResult(0, 0.0)
 
     for attempt in range(max_retries):
+        result.retries = attempt
         try:
-            # an overflow raises here, before an inf or nan reaches an SVD
-            with np.errstate(over="raise", invalid="raise"):
-                curves_a = _preimage_curves(fused, v1, seed + attempt)
-                curves_b = _preimage_curves(fused, v2, seed + attempt + 13)
+            curves_a = _preimage_curves(fused, v1, seed + attempt, result)
+            curves_b = _preimage_curves(fused, v2, seed + attempt + 13, result)
             if not curves_a and not curves_b:
-                return HopfResult(0, 0.0, [])
+                return result
             if not curves_a or not curves_b:
                 raise NumericError("only one of the two regular values has a preimage curve")
             pole = _stereographic_pole(
@@ -608,13 +729,12 @@ def hopf_invariant(
             defect = abs(total - value)
             if defect >= 0.05:
                 raise NumericError(f"linking defect {defect:.4f} >= 0.05")
-            return HopfResult(value, defect, curves_a + curves_b)
+            result.value, result.defect, result.curves = value, defect, curves_a + curves_b
+            return result
         except _RankDrop:
             # nudge both values and retry with a fresh seed offset
             rot = _perturbation_rotation(seed + attempt)
             v1, v2 = rot @ v1, rot @ v2
-        except FloatingPointError as exc:
-            raise NumericError(f"the map overflowed while tracing a preimage curve: {exc}") from exc
     raise NumericError("regular-value preimage tracing kept hitting rank drops")
 
 

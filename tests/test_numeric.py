@@ -1,5 +1,7 @@
 """Numeric certification: sampling, retraction, scans, degrees, linking."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,7 +169,7 @@ def test_retraction_keeps_every_bit_of_the_former_bodies(target):
     pmap = catalog(target)
     P = sample_sphere(pmap.m - 1, 10_000, seed=11)
     fused = numeric._MapAndJacobian(pmap)
-    h, dh = fused.h_and_jacobian(P)
+    _, h, dh = fused.h_and_jacobian(P)
     h0, dh0 = _former_h_and_jacobian(fused, P)
     assert np.array_equal(h, h0) and np.array_equal(dh, dh0)
     for points in (P, sample_quadric(pmap.m, 10_000, seed=12)):
@@ -393,6 +395,19 @@ def test_gauss_linking_is_translation_invariant(curves, offset):
     assert abs(gauss_linking(a + v, b + v) - gauss_linking(a, b)) < 1e-12
 
 
+def chord_midpoint_gaps(pmap, curve):
+    """Chord lengths of a traced closed curve, and how far Newton moves
+    each chord midpoint, normalized to S^3, onto the preimage curve."""
+    closed = np.vstack([curve.points, curve.points[:1]])
+    chords = np.linalg.norm(np.diff(closed, axis=0), axis=1)
+    mid = (closed[1:] + closed[:-1]) / 2
+    mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+    system = numeric._PreimageSystem(numeric._MapAndJacobian(pmap), curve.value)
+    out = system.newton(mid)
+    assert np.all(out.status == numeric._CONVERGED)
+    return chords, np.linalg.norm(out.points - mid, axis=1)
+
+
 def test_hopf_invariant_of_hopf_map():
     f, _ = hopf_pair()
     res = hopf_invariant(f, seed=0)
@@ -401,8 +416,73 @@ def test_hopf_invariant_of_hopf_map():
     assert len(res.curves) == 2
     for curve in res.curves:
         assert curve.closed
-        steps = np.linalg.norm(np.diff(curve.points, axis=0), axis=1)
-        assert steps.max() < 2e-2  # consecutive points within step tolerance
+        chords, gaps = chord_midpoint_gaps(f, curve)
+        assert chords.max() <= numeric._STEP_MAX
+        assert gaps.max() < 1e-3
+
+
+@pytest.mark.parametrize("d", [-3, -2, 2, 3])
+def test_chord_midpoints_lie_on_the_traced_curves(d):
+    pmap = catalog(f"pi3_s2:{d}")
+    for curve in hopf_invariant(pmap, seed=1).curves:
+        chords, gaps = chord_midpoint_gaps(pmap, curve)
+        assert chords.max() <= numeric._STEP_MAX
+        assert gaps.max() < 1e-3
+
+
+def test_a_start_near_a_chord_of_a_traced_curve_is_not_traced_again(monkeypatch):
+    # the traced curve is thinned to every third node, so the start refined
+    # from its longest chord's midpoint is farther than _SAME_CURVE from every
+    # node but close to the chord
+    fused = numeric._MapAndJacobian(catalog("pi3_s2:1"))
+    value = np.array([1.0, 0.0, 0.0])
+    curve = numeric._preimage_curves(fused, value, 1, numeric.HopfResult(0, 0.0))[0]
+    thin = curve.points[::3]
+    i = int(np.argmax(np.linalg.norm(np.roll(thin, -1, axis=0) - thin, axis=1)))
+    mid = thin[i] + thin[(i + 1) % len(thin)]
+    start = numeric._PreimageSystem(fused, value).newton((mid / np.linalg.norm(mid))[None, :]).points[0]
+    assert np.min(np.linalg.norm(thin - start, axis=1)) > numeric._SAME_CURVE
+    assert numeric._polyline_distance(start, thin) < numeric._SAME_CURVE
+
+    traced = []
+    trace_curve = numeric._trace_curve
+
+    def thinned_trace(*args, **kwargs):
+        traced.append(trace_curve(*args, **kwargs))
+        return dataclasses.replace(traced[-1], points=traced[-1].points[::3])
+
+    monkeypatch.setattr(numeric, "sample_sphere", lambda n, count, seed: np.array([curve.points[0], start]))
+    monkeypatch.setattr(numeric, "_trace_curve", thinned_trace)
+    curves = numeric._preimage_curves(fused, value, 1, numeric.HopfResult(0, 0.0), n_seeds=2)
+    assert len(curves) == len(traced) == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1.0, 0.0), (0.0, 1.0, 0.0)),
+        ((1.0, 0.0, 0.0), (np.nan, 1.0, 0.0)),
+        ((np.inf, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)),
+    ],
+    ids=["zero", "two-vector", "nan", "inf", "same-direction"],
+)
+def test_hopf_invariant_refuses_bad_regular_values(values):
+    f, _ = hopf_pair()
+    with pytest.raises(ValueError, match="regular value"):
+        hopf_invariant(f, values=values)
+
+
+def test_hopf_result_reports_its_margins():
+    res = hopf_invariant(catalog("pi3_s2:2"), seed=1)
+    assert res.nodes == [len(c.points) for c in res.curves] and min(res.nodes) > 50
+    assert res.rejected_steps == 0 and res.overflow_seeds == 0
+    # (1, 0, 0) is not a regular value of pi3_s2:2: its seeds meet rank
+    # drops, the values are perturbed once, and the traced curves are regular
+    assert res.retries == 1 and res.rank_drop_seeds > 0
+    assert res.newton_iterations > 64 * 2 * (res.retries + 1)
+    assert all(0.5 < sv < 3 for sv in res.min_singular_values)
 
 
 def test_hopf_invariant_seed_and_value_independent():
@@ -455,10 +535,11 @@ def test_hopf_invariant_of_pi3_s2_d_is_minus_d(d):
     assert hopf_invariant(catalog(f"pi3_s2:{d}"), seed=1).value == -d
 
 
-# The tracer takes one SVD of the constraint Jacobian JG per Newton iterate.
-# The oracles below are the former mechanisms: the fiber orientation from an
-# orthonormal complement (u, v) of [p; tau] and the lifted 2x2 determinant,
-# and the Newton step from the normal equations.
+# The tracer takes one stacked SVD of the constraint Jacobians JG per batched
+# Newton iterate.  The oracles below are the former mechanisms: the fiber
+# orientation from an orthonormal complement (u, v) of [p; tau] and the
+# lifted 2x2 determinant, the Newton step from the normal equations, and the
+# per-point Newton loop the batched routine replaced.
 
 
 def former_orientation(JG, p, tau):
@@ -468,9 +549,14 @@ def former_orientation(JG, p, tau):
     return np.sign(np.linalg.det(np.vstack([p, tau, u, v])) * np.linalg.det(lifted))
 
 
+def point_residual(system, p):
+    _, G, JG, h = system.residual_and_jac(p[None, :])
+    return G[0], JG[0], h[0]
+
+
 def former_newton(system, p, tol=1e-10, max_iter=80):
     for _ in range(max_iter):
-        G, JG, h = system.residual_and_jac(p)
+        G, JG, h = point_residual(system, p)
         gmax = np.max(np.abs(G))
         if gmax < tol:
             return None if np.dot(h, system.value) <= 0.25 else p
@@ -481,11 +567,34 @@ def former_newton(system, p, tol=1e-10, max_iter=80):
     return None
 
 
-def newton_outcome(system, p):
+def former_point_newton(system, p, tol=1e-10, max_iter=80):
+    """The per-point Newton loop: (point, tangent, JG), None, "rank drop" or
+    "overflow" (a FloatingPointError, which dropped the seed)."""
     try:
-        return system.newton(p, max_iter=80)
-    except numeric._RankDrop:
-        return "rank drop"
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                G, JG, h = point_residual(system, p)
+                gmax = np.max(np.abs(G))
+                if gmax < tol and np.dot(h, system.value) <= 0.25:
+                    return None
+                u, sv, vt = np.linalg.svd(JG)
+                if sv[-1] < 1e-8 * max(sv[0], 1e-12):
+                    return "rank drop" if gmax < 1e-3 else None
+                if gmax < tol:
+                    return p, vt[-1], JG
+                p = p - vt[:3].T @ ((u.T @ G) / sv)
+    except FloatingPointError:
+        return "overflow"
+    return None
+
+
+def batched_outcomes(system, P):
+    out = system.newton(P, max_iter=80)
+    names = {numeric._FAILED: None, numeric._RANK_DROP: "rank drop", numeric._OVERFLOW: "overflow"}
+    return [
+        (out.points[i], out.tangents[i], out.jacobians[i]) if status == numeric._CONVERGED else names[status]
+        for i, status in enumerate(out.status)
+    ]
 
 
 def test_fiber_orientation_matches_the_lifted_determinant_on_random_systems():
@@ -506,14 +615,18 @@ def test_newton_and_orientation_match_the_former_ones_at_curve_starts(target):
     # the regular values actually traced, perturbed where (+-1, 0, 0) is not
     for curve in hopf_invariant(pmap, seed=1).curves:
         system = numeric._PreimageSystem(fused, curve.value)
-        for raw in sample_sphere(3, 16, 5):
-            refined, former = newton_outcome(system, raw), former_newton(system, raw)
-            if refined is None or isinstance(refined, str):
-                assert refined == former
+        seeds = sample_sphere(3, 64, 5)
+        for raw, refined in zip(seeds, batched_outcomes(system, seeds)):
+            former, point_loop = former_newton(system, raw), former_point_newton(system, raw)
+            if not isinstance(refined, tuple):
+                assert refined == former == point_loop
                 continue
             converged += 1
             assert np.max(np.abs(refined[0] - former)) < 1e-12
-        p, tau, JG = system.newton(curve.points[0])
+            assert np.max(np.abs(refined[0] - point_loop[0])) < 1e-12
+            assert np.max(np.abs(refined[2] - point_loop[2])) < 1e-9
+            assert np.max(np.abs(np.abs(refined[1] @ point_loop[1]) - 1)) < 1e-9
+        (p, tau, JG), = batched_outcomes(system, curve.points[:1])
         assert np.array_equal(p, curve.points[0])
         assert np.max(np.abs(JG @ tau)) < 1e-9 and abs(np.linalg.norm(tau) - 1) < 1e-12
         sign = np.sign(np.linalg.det(np.vstack([JG, tau])))
@@ -523,18 +636,33 @@ def test_newton_and_orientation_match_the_former_ones_at_curve_starts(target):
     assert converged >= 2
 
 
+def test_batched_newton_drops_the_rows_the_point_loop_saw_overflow():
+    zs = [Polynomial.variable(4, i) for i in range(4)]
+    # |Im F|^2 = 9e308 p_0^4 overflows where |p_0| > 0.67 at the seed or later
+    big = PolyMap.explicit([zs[3] + (zs[0] * zs[0]).scale(GaussianRational(0, 3 * 10**154)), zs[1], zs[2]], "overflow")
+    system = numeric._PreimageSystem(numeric._MapAndJacobian(big), np.array([0.0, 1.0, 0.0]))
+    seeds = sample_sphere(3, 64, 2)
+    outcomes = batched_outcomes(system, seeds)
+    assert outcomes == [former_point_newton(system, p) for p in seeds]
+    assert 0 < outcomes.count("overflow") < 64
+
+
 def test_each_newton_iterate_takes_one_svd_and_no_solve(monkeypatch):
     fused = numeric._MapAndJacobian(catalog("pi3_s2:2"))
-    counts = {"svd": 0, "iterates": 0}
-    svd, residual_and_jac = np.linalg.svd, numeric._PreimageSystem.residual_and_jac
+    counts = {"svd": 0, "iterates": 0, "runs": 0}
+    svd, residual_and_jac, newton = np.linalg.svd, numeric._PreimageSystem.residual_and_jac, numeric._PreimageSystem.newton
 
     def counted_svd(*args, **kwargs):
         counts["svd"] += 1
         return svd(*args, **kwargs)
 
-    def counted_residual(self, p):
+    def counted_residual(self, P):
         counts["iterates"] += 1
-        return residual_and_jac(self, p)
+        return residual_and_jac(self, P)
+
+    def counted_newton(self, P, **kwargs):
+        counts["runs"] += 1
+        return newton(self, P, **kwargs)
 
     def solve(*args, **kwargs):
         raise AssertionError("the tracer solves no normal equations")
@@ -542,10 +670,14 @@ def test_each_newton_iterate_takes_one_svd_and_no_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(numeric._PreimageSystem, "residual_and_jac", counted_residual)
-    curves = numeric._preimage_curves(fused, np.array([1.0, 0.0, 0.0]), seed=1, n_seeds=16)
+    monkeypatch.setattr(numeric._PreimageSystem, "newton", counted_newton)
+    curves = numeric._preimage_curves(fused, np.array([1.0, 0.0, 0.0]), 1, numeric.HopfResult(0, 0.0), n_seeds=16)
     assert curves and all(c.closed for c in curves)
-    # only an iterate that lands on the antipodal sheet returns before its SVD
-    assert counts["iterates"] - 16 <= counts["svd"] <= counts["iterates"]
+    # one seed batch and one corrector run per node or rejected step
+    assert counts["runs"] == 1 + sum(len(c.points) - 1 + c.rejected for c in curves)
+    # an iterate whose rows have all left (antipodal sheet or overflow) ends
+    # its run before the SVD; every other iterate takes one stacked SVD
+    assert counts["iterates"] - counts["runs"] <= counts["svd"] <= counts["iterates"]
 
 
 def test_sampling_refuses_point_counts_beyond_the_budget_before_any_array(monkeypatch):
