@@ -23,10 +23,10 @@ import math
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from re import fullmatch
 from types import MappingProxyType
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -229,7 +229,6 @@ def _pair(value: GaussianRational) -> tuple[int, int, int]:
 
 
 _TEXT_CHUNK = 10**600  # below the least digit limit the interpreter accepts (640)
-_DIGITS = [str(e) for e in range(256)]  # the text of each one-byte exponent
 
 
 def int_text(n: int) -> str:
@@ -407,21 +406,39 @@ class Polynomial:
         width, n = _width(self._degree), self.nvars
         return [(_monomial(k, width, n), self._coeff(pair)) for k, pair in sorted(self._num.items(), reverse=True)]
 
-    def term_texts(self, spell: Callable[[str, str], str]) -> Iterator[tuple[str, str]]:
-        """The terms in canonical order, one at a time, as the exponents
-        joined by commas and ``spell(str(c.re), str(c.im))``, called once per
-        distinct coefficient c and reused for every term that has it."""
-        width, n, den, num = _width(self._degree), self.nvars, self._den, self._num
-        spelled = {}
-        for key in sorted(num, reverse=True):
-            if width == 8:  # one byte per field: the bytes are the exponents
-                exponents = ",".join(map(_DIGITS.__getitem__, key.to_bytes(n + 1, "big")[1:]))
-            else:
-                exponents = ",".join(map(str, _monomial(key, width, n)))
-            pair = num[key]
-            if pair not in spelled:
-                spelled[pair] = spell(_fraction_text(pair[0], den), _fraction_text(pair[1], den))
-            yield exponents, spelled[pair]
+    def term_table(self) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str]]]:
+        """The terms in canonical order as arrays, for writers: the exponent
+        matrix [terms, nvars] (``uint8`` for one-byte key fields, total
+        degree below 256; int64 for fields of up to 7 bytes; Python ints
+        past that), each term's index into the distinct coefficients c, and
+        those as (str(c.re), str(c.im)) in order of first use.
+
+        Up to 7-byte fields the keys are read as big-endian 64-bit words,
+        most significant first, each word one C-level pass over the sorted
+        keys; no object is kept per key."""
+        size, n, den, num = _width(self._degree) // 8, self.nvars, self._den, self._num
+        keys = sorted(num, reverse=True)
+        if size < 8:
+            count = -(-size * (n + 1) // 8)  # 64-bit words per key
+            words = np.empty((len(keys), count), ">u8")
+            for j in range(count):  # most significant word first
+                shift = 64 * (count - 1 - j)
+                word = map(operator.rshift, keys, repeat(shift)) if shift else keys
+                if j:  # below the most significant word: its low 64 bits
+                    word = map(operator.and_, word, repeat(2**64 - 1))
+                words[:, j] = np.fromiter(word, np.uint64, len(keys))
+            fields = words.view(np.uint8)[:, 8 * count - size * (n + 1) :]  # the bytes of each key
+            exponents = fields[:, size::size]  # each exponent's first byte; the total degree field is dropped
+            for byte in range(1, size):
+                exponents = exponents * np.int64(256) + fields[:, size + byte :: size]
+        else:  # an exponent may pass 2^63
+            exponents = np.array([_monomial(k, 8 * size, n) for k in keys], object).reshape(len(keys), n)
+        values = list(map(num.__getitem__, keys))
+        distinct = dict.fromkeys(values)
+        position = dict(zip(distinct, range(len(distinct))))
+        index = np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+        texts = {part: _fraction_text(part, den) for part in set(chain.from_iterable(distinct))}
+        return exponents, index, [(texts[re], texts[im]) for re, im in distinct]
 
     def __iter__(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return iter(self.sorted_terms())

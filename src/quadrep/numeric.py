@@ -550,17 +550,37 @@ def _polyline_distance(x: np.ndarray, points: np.ndarray) -> float:
 
 def _preimage_curves(
     fused: _MapAndJacobian,
-    value: np.ndarray,
-    seed: int,
+    values: Sequence[np.ndarray],
+    seeds: Sequence[int],
     tally: "HopfResult",
     n_seeds: int = 64,
-) -> list[TracedCurve]:
-    """Up to 8 closed preimage curves of value, from n_seeds Newton starts
-    refined as one batch; dropped seeds and Newton iterates go to tally."""
-    system = _PreimageSystem(fused, value)
-    refined = system.newton(sample_sphere(3, n_seeds, seed), max_iter=80)
-    overflows = int(np.count_nonzero(refined.status == _OVERFLOW))
-    rank_drops = int(np.count_nonzero(refined.status == _RANK_DROP))
+) -> list[list[TracedCurve]]:
+    """Up to 8 closed preimage curves of each value, traced from n_seeds
+    Newton starts; dropped seeds and Newton iterates go to tally.
+
+    Every value's starts are refined, one batch per value, before any curve
+    is traced.  A rank drop at a refined start or in a trace raises
+    _RankDrop: the value is not regular, and the curves found so far may be
+    only part of its preimage.
+    """
+    systems = [_PreimageSystem(fused, value) for value in values]
+    try:
+        batches = []
+        for system, seed in zip(systems, seeds):
+            refined = system.newton(sample_sphere(3, n_seeds, seed), max_iter=80)
+            drops = int(np.count_nonzero(refined.status == _RANK_DROP))
+            tally.overflow_seeds += int(np.count_nonzero(refined.status == _OVERFLOW))
+            tally.rank_drop_seeds += drops
+            if drops:
+                raise _RankDrop
+            batches.append(refined)
+        return [_trace_starts(system, refined, tally) for system, refined in zip(systems, batches)]
+    finally:
+        tally.newton_iterations += sum(system.iterations for system in systems)
+
+
+def _trace_starts(system: _PreimageSystem, refined: _NewtonRows, tally: "HopfResult") -> list[TracedCurve]:
+    """The curves through the converged starts, each traced once."""
     curves: list[TracedCurve] = []
     for i in np.flatnonzero(refined.status == _CONVERGED):
         start = refined.points[i]
@@ -571,19 +591,14 @@ def _preimage_curves(
                 _trace_curve(system, start, refined.tangents[i], refined.jacobians[i], refined.sv_min[i])
             )
         except _RankDrop:
-            rank_drops += 1
-            continue
+            tally.rank_drop_seeds += 1
+            raise
         if len(curves) >= 8:
             break
-    tally.newton_iterations += system.iterations
-    tally.overflow_seeds += overflows
-    tally.rank_drop_seeds += rank_drops
-    if not curves and rank_drops:
-        # every solution hit a Jacobian rank drop: the value is not regular
-        raise _RankDrop
+    overflows = int(np.count_nonzero(refined.status == _OVERFLOW))
     if not curves and overflows:
         # seeds lost to overflow may have had preimages, so "none" is not shown
-        raise NumericError(f"the map overflowed from {overflows} of {n_seeds} Newton seeds and no preimage was found")
+        raise NumericError(f"the map overflowed from {overflows} of {len(refined.status)} Newton seeds and no preimage was found")
     return curves
 
 
@@ -657,7 +672,7 @@ class HopfResult:
     # margins, summed over both values and every attempt
     newton_iterations: int = 0  # Newton iterates over all rows, seeds and corrector
     overflow_seeds: int = 0     # seeds dropped because an iterate overflowed
-    rank_drop_seeds: int = 0    # seeds or traces dropped at a rank drop on the solution set
+    rank_drop_seeds: int = 0    # seeds or traces that met a rank drop on the solution set
     retries: int = 0            # regular values perturbed after a rank drop
 
     @property
@@ -692,10 +707,11 @@ def hopf_invariant(
     Traces the preimage circles of two regular values of the retracted map,
     projects them stereographically and evaluates the Gauss linking
     integral.  A constant-like map has no preimage for generic values; the
-    invariant is 0 by convention in that case.  Rank drops along a curve
-    mean the value was not regular; the values are then perturbed and the
-    computation retried.  Given values must be finite, nonzero and distinct
-    3-vectors (ValueError otherwise).
+    invariant is 0 by convention in that case.  A rank drop at a refined
+    seed or along a curve of either value means that value is not regular;
+    both values are then perturbed and the computation retried.  Given
+    values must be finite, nonzero and distinct 3-vectors (ValueError
+    otherwise).
     """
     if pmap.m != 4 or pmap.r != 3:
         raise DimensionMismatch("hopf invariant needs a map C^4 -> C^3")
@@ -711,8 +727,7 @@ def hopf_invariant(
     for attempt in range(max_retries):
         result.retries = attempt
         try:
-            curves_a = _preimage_curves(fused, v1, seed + attempt, result)
-            curves_b = _preimage_curves(fused, v2, seed + attempt + 13, result)
+            curves_a, curves_b = _preimage_curves(fused, (v1, v2), (seed + attempt, seed + attempt + 13), result)
             if not curves_a and not curves_b:
                 return result
             if not curves_a or not curves_b:

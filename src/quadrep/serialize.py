@@ -15,6 +15,8 @@ import os
 import stat
 from typing import Iterator
 
+import numpy as np
+
 from .exact import Polynomial
 from .maps import InfeasibleError, PolyMap
 
@@ -51,19 +53,66 @@ def document_parts(pmap: PolyMap) -> Iterator[str]:
 
 
 SLICE_TERMS = 1024  # terms per emitted piece: one piece's text, not a component's, is held at once
-_TERM_TAIL = '],"im":"{1}","re":"{0}"}}'.format  # a term's text after its exponents, from (re, im)
+
+
+def _spans(tokens: list[bytes], origin: int) -> np.ndarray:
+    """[tokens, 2]: where each token starts and how long it is, with the
+    tokens written one after another from ``origin``."""
+    lengths = list(map(len, tokens))
+    spans = zip(itertools.accumulate(lengths, initial=origin), lengths)
+    return np.fromiter(itertools.chain.from_iterable(spans), np.intp, 2 * len(tokens)).reshape(-1, 2)
+
+
+_OPENING = b',{"exponents":['  # a term's opening; a component's first term drops the comma
+# the openings' spans: rows [0, count) for a component's first slice, [1, count] for later ones
+_OPENINGS = np.tile(np.array([0, len(_OPENING)], np.intp), (SLICE_TERMS + 1, 1, 1))
+_OPENINGS[0] = 1, len(_OPENING) - 1
+# "e," for the one-byte exponents e, after the opening, and their spans
+_BYTE_EXPONENTS = [b"%d," % e for e in range(256)]
+_BYTE_TEXT = _OPENING + b"".join(_BYTE_EXPONENTS)
+_BYTE_SPANS = _spans(_BYTE_EXPONENTS, len(_OPENING))
 
 
 def _component_text(comp: Polynomial, opening: str) -> Iterator[str]:
     """The component's JSON array after ``opening``, in pieces of at most
     ``SLICE_TERMS`` terms."""
-    terms = ('{"exponents":[' + exponents + tail for exponents, tail in comp.term_texts(_TERM_TAIL))
     yield opening
-    separator = ""
-    while piece := ",".join(itertools.islice(terms, SLICE_TERMS)):
-        yield separator + piece
-        separator = ","
+    if comp:  # an empty component has no terms to tabulate
+        yield from _term_slices(comp)
     yield "]"
+
+
+def _term_slices(comp: Polynomial) -> Iterator[str]:
+    """The terms' text, ``SLICE_TERMS`` terms per piece.  The component's
+    tokens are written once into one byte buffer: the term opening, "e,"
+    for each exponent e it uses and one tail ``],"im":"…","re":"…"}`` per
+    distinct coefficient.  A term is the span of its opening, of each of its
+    exponents (the last without its comma) and of its tail, and a piece is
+    one gather of the bytes its terms' spans cover, so what is held per
+    piece grows with the piece's text."""
+    exponents, coefficient, spelled = comp.term_table()
+    nvars = comp.nvars
+    if exponents.dtype == np.uint8:
+        head, spans, codes = _BYTE_TEXT, _BYTE_SPANS, exponents
+    else:  # wider key fields: the exponents the component uses
+        values, codes = np.unique(exponents, return_inverse=True)
+        tokens = [b"%d," % e for e in values.tolist()]
+        head, spans = _OPENING + b"".join(tokens), _spans(tokens, len(_OPENING))
+        codes = codes.reshape(exponents.shape)
+    tails = [b'],"im":"%s","re":"%s"}' % (im.encode(), re.encode()) for re, im in spelled]
+    tail_spans, text = _spans(tails, len(head))[:, None], np.frombuffer(head + b"".join(tails), np.uint8)
+    for first in range(0, len(coefficient), SLICE_TERMS):
+        rows, lead = coefficient[first : first + SLICE_TERMS], int(first > 0)
+        # [terms, nvars + 2, (start, length)]: the opening, the exponents and the tail of each term
+        fields = spans[codes[first : first + SLICE_TERMS]]
+        span = np.concatenate([_OPENINGS[lead : lead + len(rows)], fields, tail_spans[rows]], axis=1)
+        if nvars:  # the last exponent has no comma
+            span[:, nvars, 1] -= 1
+        begin, size = span.reshape(-1, 2).T
+        end = size.cumsum()
+        index = np.repeat(begin + size - end, size)
+        index += np.arange(len(index))
+        yield text[index].tobytes().decode("ascii")
 
 
 def map_to_document(pmap: PolyMap) -> dict:

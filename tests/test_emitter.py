@@ -13,12 +13,16 @@ at the edges of the slices of terms the emitter writes in one piece.
 ``oracle_component_text`` keeps the former per-term emitter: every term
 decoded to an exponent tuple and spelled by two ``_fraction_text`` calls.
 The emitter spells each distinct coefficient of a component once and
-decodes one-byte keys through a digit table; its pieces must equal the
-oracle's for either key width, shared, imaginary-only and constant
-coefficients, and numerators past the interpreter's digit limit.
+assembles each slice of terms as one gather of its tokens' bytes; its
+pieces must equal the oracle's for every key width (exponents past int64
+too), shared, imaginary-only and constant coefficients, and numerators
+past the interpreter's digit limit, also when one long coefficient shares
+a slice with short ones, and what a slice holds must not grow with that
+coefficient.
 """
 
 import itertools
+import tracemalloc
 import json
 from fractions import Fraction
 
@@ -26,6 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadrep.cli import main
 from quadrep.exact import GaussianRational, Polynomial, _fraction_text, _monomial, _width
 from quadrep.maps import PolyMap, catalog
 from quadrep.serialize import (
@@ -228,3 +233,37 @@ def test_shared_coefficient_across_slices_matches_the_oracle(degree):
     )
     assert len(comp) == 2050
     assert_same_pieces(comp)
+
+
+def test_a_long_coefficient_among_short_ones_matches_the_oracle_in_bounded_memory():
+    # 2,050 terms with distinct coefficients, one of them past the digit
+    # limit: a table padding every tail to the longest would hold 2,050 x 4.4 KB
+    monos = [(i, j, 100 - i - j) for i in range(41) for j in range(50)]
+    terms = {mono: GaussianRational(Fraction(k + 1, 7), k % 3) for k, mono in enumerate(monos)}
+    terms[monos[1500]] = GaussianRational(Fraction(LONG + 1, 3), 1)
+    comp = Polynomial(3, terms)
+    assert len(comp) == 2050 and len(set(comp.terms.values())) == 2050
+    assert_same_pieces(comp)
+    pieces = list(_component_text(comp, "["))
+    assert [piece.count('"exponents"') for piece in pieces] == [0, SLICE_TERMS, SLICE_TERMS, 2, 0]
+    assert sum("0" * 4000 in piece for piece in pieces) == 1
+    tracemalloc.start()
+    try:
+        for _ in _component_text(comp, "["):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("big", [2**63, 2**70], ids=["eight-byte", "nine-byte"])
+def test_exponents_past_int64_export_byte_for_byte(big, tmp_path):
+    comp = Polynomial(2, {(big, 0): 1, (0, big - 1): GaussianRational(0, Fraction(1, 3)), (big // 2, 1): 2, (1, 1): 1})
+    assert_same_pieces(comp)
+    pmap = PolyMap.explicit([comp, Polynomial.zero(2)], "wide")
+    assert_same_document(pmap)
+    src, dst = tmp_path / "a.json", tmp_path / "b.json"
+    src.write_bytes(emitted(pmap).encode("utf-8"))
+    assert main(["export", str(src), "-o", str(dst)]) == 0
+    assert dst.read_bytes() == src.read_bytes() and f"[{big},0]".encode() in src.read_bytes()

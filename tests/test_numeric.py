@@ -436,7 +436,7 @@ def test_a_start_near_a_chord_of_a_traced_curve_is_not_traced_again(monkeypatch)
     # node but close to the chord
     fused = numeric._MapAndJacobian(catalog("pi3_s2:1"))
     value = np.array([1.0, 0.0, 0.0])
-    curve = numeric._preimage_curves(fused, value, 1, numeric.HopfResult(0, 0.0))[0]
+    curve = numeric._preimage_curves(fused, [value], [1], numeric.HopfResult(0, 0.0))[0][0]
     thin = curve.points[::3]
     i = int(np.argmax(np.linalg.norm(np.roll(thin, -1, axis=0) - thin, axis=1)))
     mid = thin[i] + thin[(i + 1) % len(thin)]
@@ -453,7 +453,7 @@ def test_a_start_near_a_chord_of_a_traced_curve_is_not_traced_again(monkeypatch)
 
     monkeypatch.setattr(numeric, "sample_sphere", lambda n, count, seed: np.array([curve.points[0], start]))
     monkeypatch.setattr(numeric, "_trace_curve", thinned_trace)
-    curves = numeric._preimage_curves(fused, value, 1, numeric.HopfResult(0, 0.0), n_seeds=2)
+    (curves,) = numeric._preimage_curves(fused, [value], [1], numeric.HopfResult(0, 0.0), n_seeds=2)
     assert len(curves) == len(traced) == 1
 
 
@@ -478,11 +478,46 @@ def test_hopf_result_reports_its_margins():
     res = hopf_invariant(catalog("pi3_s2:2"), seed=1)
     assert res.nodes == [len(c.points) for c in res.curves] and min(res.nodes) > 50
     assert res.rejected_steps == 0 and res.overflow_seeds == 0
-    # (1, 0, 0) is not a regular value of pi3_s2:2: its seeds meet rank
-    # drops, the values are perturbed once, and the traced curves are regular
+    # (-1, 0, 0) is not a regular value of pi3_s2:2: a trace meets a rank
+    # drop, the values are perturbed once, and the traced curves are regular
     assert res.retries == 1 and res.rank_drop_seeds > 0
     assert res.newton_iterations > 64 * 2 * (res.retries + 1)
     assert all(0.5 < sv < 3 for sv in res.min_singular_values)
+
+
+def test_a_value_with_one_rank_drop_seed_is_not_regular():
+    # (1, 0, 0) has a regular preimage curve of pi3_s2:3 at seed 1 beside
+    # seeds that converge to a singular one: linking only the regular curve
+    # would link part of the preimage
+    fused = numeric._MapAndJacobian(catalog("pi3_s2:3"))
+    tally = numeric.HopfResult(0, 0.0)
+    with pytest.raises(numeric._RankDrop):
+        numeric._preimage_curves(fused, [np.array([1.0, 0.0, 0.0])], [1], tally)
+    assert 0 < tally.rank_drop_seeds < 64 and tally.newton_iterations > 0
+
+
+@pytest.mark.parametrize("d, traced", [(3, 0), (2, 2)])
+def test_a_discarded_attempt_ends_at_its_first_rank_drop(monkeypatch, d, traced):
+    # at seed 1 the first attempt is discarded.  For pi3_s2:3, (1, 0, 0) has
+    # rank-drop seeds, so no curve is traced; for pi3_s2:2 every seed of both
+    # values is regular, and (-1, 0, 0) meets a rank drop in its first trace,
+    # after the one curve of (1, 0, 0)
+    traces, at_retry = [], []
+    trace_curve, rotation = numeric._trace_curve, numeric._perturbation_rotation
+
+    def counted_trace(*args, **kwargs):
+        traces.append(1)
+        return trace_curve(*args, **kwargs)
+
+    def recorded_rotation(seed):
+        at_retry.append(len(traces))
+        return rotation(seed)
+
+    monkeypatch.setattr(numeric, "_trace_curve", counted_trace)
+    monkeypatch.setattr(numeric, "_perturbation_rotation", recorded_rotation)
+    res = hopf_invariant(catalog(f"pi3_s2:{d}"), seed=1)
+    assert res.value == -d and res.retries == 1
+    assert at_retry == [traced] and len(traces) > traced
 
 
 def test_hopf_invariant_seed_and_value_independent():
@@ -671,7 +706,7 @@ def test_each_newton_iterate_takes_one_svd_and_no_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(numeric._PreimageSystem, "residual_and_jac", counted_residual)
     monkeypatch.setattr(numeric._PreimageSystem, "newton", counted_newton)
-    curves = numeric._preimage_curves(fused, np.array([1.0, 0.0, 0.0]), 1, numeric.HopfResult(0, 0.0), n_seeds=16)
+    (curves,) = numeric._preimage_curves(fused, [np.array([1.0, 0.0, 0.0])], [1], numeric.HopfResult(0, 0.0), n_seeds=16)
     assert curves and all(c.closed for c in curves)
     # one seed batch and one corrector run per node or rejected step
     assert counts["runs"] == 1 + sum(len(c.points) - 1 + c.rejected for c in curves)

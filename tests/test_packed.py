@@ -214,6 +214,16 @@ def test_extend_and_derivative_match_reference(case, extra, data):
     assert ref(a.derivative(i)) == want
 
 
+def table_terms(p: Polynomial) -> list:
+    """``p.term_table()`` read back as (exponent tuple, (re text, im text)) per
+    term, after checking that the coefficients are distinct and listed in
+    order of first use."""
+    exponents, index, spelled = p.term_table()
+    assert exponents.shape == (len(p), p.nvars) and len(set(spelled)) == len(spelled)
+    assert list(dict.fromkeys(index.tolist())) == list(range(len(spelled)))
+    return [(tuple(row), spelled[i]) for row, i in zip(exponents.tolist(), index.tolist())]
+
+
 @settings(max_examples=80, deadline=None)
 @given(poly_sets(1, max_terms=8))
 def test_order_and_structure_match_reference(case):
@@ -226,8 +236,7 @@ def test_order_and_structure_match_reference(case):
     assert a.degree() == max((sum(m) for m in ra), default=-1)
     assert a.per_variable_degrees() == tuple(max((m[i] for m in ra), default=0) for i in range(nvars))
     assert a.is_real() == all(im == 0 for _, im in ra.values())
-    texts = [(",".join(map(str, m)), (str(c.re), str(c.im))) for m, c in a.sorted_terms()]
-    assert list(a.term_texts(lambda re, im: (re, im))) == texts
+    assert table_terms(a) == [(m, (str(c.re), str(c.im))) for m, c in a.sorted_terms()]
     if ra:
         mono, coeff = a.leading_term()
         assert (mono, (coeff.re, coeff.im)) == order[0]
@@ -335,7 +344,7 @@ def test_vector_kernel_matches_the_loop_and_the_reference(pairs, slab):
     assert vs.sorted_terms() == ls.sorted_terms() and str(vq) == str(lq)
     assert list(vs.terms) == list(ls.terms) == [m for m, _ in vs.sorted_terms()]
     assert list(vq.terms.items()) == list(lq.terms.items()) == vq.sorted_terms()
-    assert hash(vs) == hash(ls) and list(vq.term_texts(max)) == list(lq.term_texts(max))
+    assert hash(vs) == hash(ls) and table_terms(vq) == table_terms(lq)
 
 
 def test_a_pair_that_cancels_another_sums_to_zero_on_both_paths():
