@@ -189,6 +189,8 @@ def _check_hopf(pmap: PolyMap, args) -> list[dict]:
             "rank_drop_seeds": res.rank_drop_seeds,
             "retries": res.retries,
             "min_singular_values": res.min_singular_values,
+            "closure_gaps": res.closure_gaps,
+            "separation": res.separation,
         }
     ]
 

@@ -476,7 +476,7 @@ class _PreimageSystem:
 # min(step / f, _STEP_MAX).  With these nominal values pi3_s2:1 traces about
 # 100 nodes per fiber (629 at the former fixed step 1e-2) with no rejected
 # step, and every chord midpoint of pi3_s2:+-1, +-2, +-3 lies within 2e-4 of
-# its curve; the linking defects are those of the fixed step to 3 digits.
+# its curve; the Hopf values are those of the fixed step.
 _KAPPA, _DELTA, _ALPHA = 0.3, 2e-3, 0.12
 _STEP_FIRST, _STEP_MAX, _STEP_MIN = 1e-2, 0.1, 1e-6
 # a Newton start this close to a traced curve's polyline lies on that curve
@@ -626,49 +626,61 @@ def _project_curve(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
     return (points @ basis) / denom[:, None]
 
 
-def _resample_closed(points: np.ndarray, n: int) -> np.ndarray:
-    closed = np.vstack([points, points[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, arc[-1], n, endpoint=False)
-    out = np.empty((n, points.shape[1]))
-    for j in range(points.shape[1]):
-        out[:, j] = np.interp(targets, arc, closed[:, j])
-    return out
+# segment pairs per tile of the linking sum: about 3 MB of arrays
+_LINK_PAIRS = 1 << 14
 
 
 def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
-    """Gauss double integral for two closed polylines in R^3.
+    """Linking number of two closed polygons in R^3, exact up to rounding.
 
-    L = (1/4pi) sum over segment pairs of (m_a - m_b) . (d_a x d_b) / |m_a - m_b|^3
-    with segment midpoints m and segment vectors d.  Each block of 256 rows
-    of the pair matrix takes three matrix products, by the identities
-    (m_a - m_b) . (d_a x d_b) = (m_a x d_a) . d_b + d_a . (m_b x d_b) and
-    |m_a - m_b|^2 = |m_a|^2 + |m_b|^2 - 2 m_a . m_b.  L is translation
-    invariant, so both curves are first centred on their joint centroid: far
-    from the origin |m|^2 would swamp |m_a - m_b|^2 in the second identity.
+    The Gauss integral over segment p1 -> p2 of A and p3 -> p4 of B is the
+    solid angle of the quadrilateral r13, r14, r24, r23 (r_ij = p_j - p_i)
+    seen from the origin (Banchoff 1976; Qu and James 2021).  It is the sum
+    of the triangles (r13, r14, r24) and (r13, r24, r23), each 2 atan2(a.(b x
+    c), |a||b||c| + (a.b)|c| + (a.c)|b| + (b.c)|a|) by Van Oosterom and
+    Strackee, and both triple products equal r13 . (d_a x d_b) with segment
+    vectors d.  The triangles run against the (A, B) orientation, so L is
+    minus the sum over 4pi.  Tiles of at most _LINK_PAIRS pairs bound memory.
     """
-    centre = np.concatenate([curve_a, curve_b]).mean(axis=0)
-    da = np.roll(curve_a, -1, axis=0) - curve_a
-    db = np.roll(curve_b, -1, axis=0) - curve_b
-    ma = curve_a - centre + da / 2
-    mb = curve_b - centre + db / 2
-    ca, cb = np.cross(ma, da), np.cross(mb, db)
-    sa, sb = np.sum(ma * ma, axis=1), np.sum(mb * mb, axis=1)
+    a, b = np.vstack([curve_a, curve_a[:1]]), np.vstack([curve_b, curve_b[:1]])
+    da, db = np.diff(a, axis=0), np.diff(b, axis=0)
+    cols = min(len(db), _LINK_PAIRS)
+    rows = max(1, _LINK_PAIRS // cols)
+
+    def dot(x, y):
+        return np.einsum("ijk,ijk->ij", x, y)
+
     total = 0.0
-    for i0 in range(0, len(ma), 256):
-        sl = slice(i0, i0 + 256)
-        num = ca[sl] @ db.T + da[sl] @ cb.T
-        r2 = sa[sl, None] + sb - 2 * (ma[sl] @ mb.T)
-        total += float(np.sum(num / (r2 * np.sqrt(r2))))
-    return total / (4 * np.pi)
+    for i in range(0, len(da), rows):
+        for j in range(0, len(db), cols):
+            r = b[None, j : j + cols + 1] - a[i : i + rows + 1, None]  # r[i, j] = b_j - a_i
+            n = np.sqrt(dot(r, r))
+            r13, r14, r23, r24 = r[:-1, :-1], r[:-1, 1:], r[1:, :-1], r[1:, 1:]
+            n13, n14, n23, n24 = n[:-1, :-1], n[:-1, 1:], n[1:, :-1], n[1:, 1:]
+            triple = dot(r13, np.cross(da[i : i + rows, None], db[None, j : j + cols]))
+            d13_24 = dot(r13, r24)
+            den1 = n13 * n14 * n24 + dot(r13, r14) * n24 + d13_24 * n14 + dot(r14, r24) * n13
+            den2 = n13 * n24 * n23 + d13_24 * n23 + dot(r13, r23) * n24 + dot(r24, r23) * n13
+            total += float(np.sum(np.arctan2(triple, den1) + np.arctan2(triple, den2)))
+    return -total / (2 * np.pi)
+
+
+def _separation(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Smallest distance between a row of xs and a row of ys, in blocks of
+    about _LINK_PAIRS pairs."""
+    rows = max(1, _LINK_PAIRS // len(ys))
+    return min(
+        float(np.min(np.linalg.norm(xs[i : i + rows, None] - ys[None], axis=2)))
+        for i in range(0, len(xs), rows)
+    )
 
 
 @dataclass
 class HopfResult:
     value: int
-    defect: float
+    defect: float  # distance of the linking sum from value: rounding only
     curves: list[TracedCurve] = field(default_factory=list)
+    separation: Optional[float] = None  # smallest distance between nodes of the two values' curves
     # margins, summed over both values and every attempt
     newton_iterations: int = 0  # Newton iterates over all rows, seeds and corrector
     overflow_seeds: int = 0     # seeds dropped because an iterate overflowed
@@ -687,6 +699,11 @@ class HopfResult:
     def min_singular_values(self) -> list[float]:
         return [float(c.min_singular) for c in self.curves]
 
+    @property
+    def closure_gaps(self) -> list[float]:
+        """Each curve's closing chord, from its last node back to its first."""
+        return [float(np.linalg.norm(c.points[-1] - c.points[0])) for c in self.curves]
+
 
 def _regular_value(v) -> np.ndarray:
     u = np.asarray(v, dtype=float)
@@ -699,15 +716,14 @@ def hopf_invariant(
     pmap: PolyMap,
     values: Optional[tuple[np.ndarray, np.ndarray]] = None,
     seed: int = 0,
-    curve_points: int = 2000,
     max_retries: int = 5,
 ) -> HopfResult:
     """Hopf invariant of a map S^3 -> S^2 by preimage linking.
 
     Traces the preimage circles of two regular values of the retracted map,
-    projects them stereographically and evaluates the Gauss linking
-    integral.  A constant-like map has no preimage for generic values; the
-    invariant is 0 by convention in that case.  A rank drop at a refined
+    projects their nodes stereographically and sums the exact linking
+    numbers of the projected polygons.  A constant-like map has no preimage
+    for generic values; the invariant is 0 by convention in that case.  A rank drop at a refined
     seed or along a curve of either value means that value is not regular;
     both values are then perturbed and the computation retried.  Given
     values must be finite, nonzero and distinct 3-vectors (ValueError
@@ -736,8 +752,7 @@ def hopf_invariant(
                 [c.points for c in curves_a + curves_b], seed + attempt
             )
             proj_a, proj_b = (
-                [_resample_closed(_project_curve(c.points, pole), curve_points) for c in curves]
-                for curves in (curves_a, curves_b)
+                [_project_curve(c.points, pole) for c in curves] for curves in (curves_a, curves_b)
             )
             total = sum(gauss_linking(pa, pb) for pa in proj_a for pb in proj_b)
             value = int(round(total))
@@ -745,6 +760,9 @@ def hopf_invariant(
             if defect >= 0.05:
                 raise NumericError(f"linking defect {defect:.4f} >= 0.05")
             result.value, result.defect, result.curves = value, defect, curves_a + curves_b
+            result.separation = _separation(
+                np.concatenate([c.points for c in curves_a]), np.concatenate([c.points for c in curves_b])
+            )
             return result
         except _RankDrop:
             # nudge both values and retry with a fresh seed offset

@@ -161,7 +161,7 @@ def test_criterion_5_degree_reproduction():
 def test_criterion_6_hopf_invariant():
     t0 = time.time()
     f, _ = hopf_pair()
-    res = hopf_invariant(f, seed=0, curve_points=2000)
+    res = hopf_invariant(f, seed=0)
     elapsed = time.time() - t0
     _line(
         abs(res.value) == 1 and res.defect < DEFECT_TOL and elapsed < 120.0,

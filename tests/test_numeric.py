@@ -1,6 +1,8 @@
 """Numeric certification: sampling, retraction, scans, degrees, linking."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,22 +313,44 @@ def test_gauss_linking_standard_circles():
     assert abs(gauss_linking(a, far)) < 1e-3
 
 
-def direct_gauss_linking(curve_a, curve_b):
-    """Oracle: the Gauss sum with the midpoint differences formed directly."""
-    da = np.roll(curve_a, -1, axis=0) - curve_a
-    db = np.roll(curve_b, -1, axis=0) - curve_b
-    ma = curve_a + da / 2
-    mb = curve_b + db / 2
+def klenin_langowski_linking(curve_a, curve_b):
+    """Oracle: the linking number of two closed polygons as a scalar loop
+    over segment pairs.  Each pair p1 -> p2, p3 -> p4 adds the solid angle of
+    its quadrilateral r13, r14, r24, r23 (r_ij = p_j - p_i) in the arcsin
+    form of Klenin and Langowski (Biopolymers 54, 2000): the four arcsines
+    of the dot products of consecutive unit face normals, signed by
+    (r34 x r12) . r13."""
+
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def unit_normal(u, v):
+        c = cross(u, v)
+        norm = math.sqrt(dot(c, c))
+        return (c[0] / norm, c[1] / norm, c[2] / norm)
+
+    def angle(m, n):
+        return math.asin(max(-1.0, min(1.0, dot(m, n))))
+
+    a = [tuple(map(float, p)) for p in curve_a]
+    b = [tuple(map(float, p)) for p in curve_b]
     total = 0.0
-    rows = 256
-    for i0 in range(0, len(ma), rows):
-        sl = slice(i0, min(i0 + rows, len(ma)))
-        diff = ma[sl][:, None, :] - mb[None, :, :]
-        cross = np.cross(da[sl][:, None, :], db[None, :, :])
-        num = np.einsum("abi,abi->ab", diff, cross)
-        dist = np.linalg.norm(diff, axis=2)
-        total += float(np.sum(num / dist**3))
-    return total / (4 * np.pi)
+    for i, p1 in enumerate(a):
+        p2 = a[(i + 1) % len(a)]
+        for j, p3 in enumerate(b):
+            p4 = b[(j + 1) % len(b)]
+            r13, r14, r23, r24 = sub(p3, p1), sub(p4, p1), sub(p3, p2), sub(p4, p2)
+            n1, n2 = unit_normal(r13, r14), unit_normal(r14, r24)
+            n3, n4 = unit_normal(r24, r23), unit_normal(r23, r13)
+            omega = angle(n1, n2) + angle(n2, n3) + angle(n3, n4) + angle(n4, n1)
+            total += math.copysign(omega, dot(cross(sub(p4, p3), sub(p2, p1)), r13))
+    return total / (4 * math.pi)
 
 
 def test_gauss_linking_matches_direct_sum_on_hopf_curves(monkeypatch):
@@ -340,7 +364,7 @@ def test_gauss_linking_matches_direct_sum_on_hopf_curves(monkeypatch):
     assert abs(hopf_invariant(catalog("pi3_s2:1"), seed=1).value) == 1
     assert seen
     for a, b in seen:
-        assert abs(gauss_linking(a, b) - direct_gauss_linking(a, b)) < 1e-9
+        assert abs(gauss_linking(a, b) - klenin_langowski_linking(a, b)) < 1e-9
 
 
 @pytest.mark.parametrize("shift", [0.0, 100.0])
@@ -352,7 +376,7 @@ def test_gauss_linking_matches_direct_sum_on_circles(gap, linked, shift):
     a = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1) + shift
     centre = 2 - gap if linked else 2 + gap
     b = np.stack([centre + np.cos(t), np.zeros_like(t), np.sin(t)], axis=1) + shift
-    assert abs(gauss_linking(a, b) - direct_gauss_linking(a, b)) < 1e-9
+    assert abs(gauss_linking(a, b) - klenin_langowski_linking(a, b)) < 1e-9
 
 
 @st.composite
@@ -371,6 +395,40 @@ def polyline_pairs(draw):
     a = circle(draw(st.integers(8, 64)), lambda c, s: np.stack([c, s, 0 * c], axis=1))
     b = circle(draw(st.integers(8, 64)), lambda c, s: np.stack([centre + c, 0 * c, s], axis=1))
     return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyline_pairs())
+def test_gauss_linking_is_an_integer_on_polylines(curves):
+    a, b = curves
+    # b's circle is centred at x = 1 (linked) or x = 3 (side by side); the
+    # mean x of its nodes is within 0.34 of the centre
+    linked = b[:, 0].mean() < 2
+    value = gauss_linking(a, b)
+    assert abs(abs(value) - 1) < 1e-9 if linked else abs(value) < 1e-9
+
+
+def test_gauss_linking_of_two_linked_squares():
+    a = np.array([[-1.0, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0]])
+    b = np.array([[0.0, 0, -1], [2, 0, -1], [2, 0, 1], [0, 0, 1]])
+    assert abs(abs(gauss_linking(a, b)) - 1) < 1e-12
+
+
+def test_gauss_linking_memory_does_not_grow_with_the_curves():
+    # one 200 x 20,000 float array is 32 MB; the sum runs in tiles of
+    # numeric._LINK_PAIRS segment pairs
+    t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
+    a = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    t = np.linspace(0, 2 * np.pi, 20_000, endpoint=False)
+    b = np.stack([1 + np.cos(t), np.zeros_like(t), np.sin(t)], axis=1)
+    tracemalloc.start()
+    try:
+        value = gauss_linking(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(abs(value) - 1) < 1e-9
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
@@ -568,6 +626,18 @@ def test_hopf_invariant_of_pi3_s2_d_is_minus_d(d):
     # fails here (flipping every fiber leaves the linking number as it is,
     # so the orientation test below pins the fibers)
     assert hopf_invariant(catalog(f"pi3_s2:{d}"), seed=1).value == -d
+
+
+@pytest.mark.parametrize("d", [-3, -2, -1, 1, 2, 3])
+def test_hopf_linking_is_exact_and_reports_its_margins(d):
+    res = hopf_invariant(catalog(f"pi3_s2:{d}"), seed=1)
+    assert res.value == -d and res.defect < 1e-9
+    assert len(res.closure_gaps) == len(res.curves)
+    assert all(0 < gap < numeric._STEP_MAX for gap in res.closure_gaps)
+    assert res.separation > 0
+    if abs(d) == 1:
+        # the Hopf fibres over antipodal values lie in orthogonal planes
+        assert abs(res.separation - math.sqrt(2)) < 1e-8
 
 
 # The tracer takes one stacked SVD of the constraint Jacobians JG per batched
