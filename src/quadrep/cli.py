@@ -206,7 +206,7 @@ def _check_hemisphere(pmap: PolyMap, args) -> list[dict]:
             "min_u_scale": res.min_u_scale,
             "equator_max": res.equator_max,
             "sign_violations": res.sign_violations,
-            "tolerance": RESIDUAL_TOL,
+            "tolerance": numeric.HEMISPHERE_TOL,
             "note": (
                 "certifies equator/hemisphere sign preservation, the hypothesis of "
                 "the suspension argument, not the homotopy-class conclusion itself"
@@ -217,7 +217,7 @@ def _check_hemisphere(pmap: PolyMap, args) -> list[dict]:
 
 def _check_homotopies(pmap: PolyMap, args) -> list[dict]:
     out = []
-    retr = numeric.retraction_homotopy_residual(pmap.m, samples=max(args.samples // 10, 20), tsteps=11, seed=args.seed)
+    retr = numeric.retraction_homotopy_residual(pmap.m, samples=max(args.samples // 10, 20), seed=args.seed)
     out.append(
         {
             "name": "retraction-homotopy-residual",
@@ -227,9 +227,7 @@ def _check_homotopies(pmap: PolyMap, args) -> list[dict]:
         }
     )
     if pmap.order is not None and pmap.order % 2 == 0 and pmap.order > 0:
-        loop = numeric.even_order_nullhomotopy_residual(
-            pmap, tsteps=11, samples=max(args.samples // 10, 20), seed=args.seed
-        )
+        loop = numeric.even_order_nullhomotopy_residual(pmap, samples=max(args.samples // 10, 20), seed=args.seed)
         out.append(
             {
                 "name": "even-order-contraction-residual",

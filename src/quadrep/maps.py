@@ -16,17 +16,20 @@ exactly, never numerically:
   (s, t) decided exactly at s = 1.  The gluing steps are instances of
   "composition with polynomials is a ring morphism";
 * exact-evaluation: evaluate the difference on a full integer grid with
-  per-variable point count exceeding the per-variable degree bound, a sound
-  and complete zero test for polynomials.  The numerators N_j = A_j + B_j*i
-  over the common denominator D are evaluated on the whole grid in numpy
-  int64 arithmetic modulo primes below 2**24, whose product exceeds a bound
-  H on every |sum(A_j^2 - B_j^2) - q^k D^2| and |sum(A_j B_j)| at a grid
-  point; so a value that vanishes modulo every prime vanishes over Z.  The
-  first failing point is re-evaluated exactly for the witness.
+  per-variable point count exceeding the explicit components' per-variable
+  degrees, a sound and complete zero test for polynomials.  The numerators
+  N_j = A_j + B_j*i over the common denominator D are evaluated on the whole
+  grid in numpy int64 arithmetic modulo primes below 2**24, whose product
+  exceeds a bound H on every |sum(A_j^2 - B_j^2) - q^k D^2| and
+  |sum(A_j B_j)| at a grid point; so a value that vanishes modulo every
+  prime vanishes over Z.  The first failing point is re-evaluated exactly
+  for the witness.
 
-Builders only prove; ``certify_order`` first tries to disprove the claim,
-by the degree bound and an exact scan of explicit components small enough
-to square, or of any size when the map has no structure node to factor.
+Builders only prove; ``certify_order`` first tries to disprove the claim
+from the explicit components: by their degree, then by an exact scan at
+four points when they are small enough to square, or of any size when the
+map has no structure node to factor.  Every degree bound reads explicit
+components; a map known only by its node is refuted by its construction.
 
 Deep compositions in the torsion chain have components too large to expand
 or even to store (the one-level suspension of the order-22 pair would need
@@ -155,18 +158,6 @@ class SuspensionNode:
         tail = rr[:, None] * u
         return np.concatenate([head, tail], axis=1)
 
-    def per_variable_bounds(self) -> tuple[int, ...]:
-        coeff_deg = 2 * (self.triple.order - 1)
-        fb = self.f.per_variable_bounds()
-        gb = self.g.per_variable_bounds()
-        zpart = [coeff_deg + max(a, b) for a, b in zip(fb, gb)]
-        upart = [coeff_deg + 1] * self.ell
-        return tuple(zpart + upart)
-
-    def max_degree_bound(self) -> int:
-        coeff_deg = 2 * (self.triple.order - 1)
-        return coeff_deg + max(self.f.max_degree_bound(), self.g.max_degree_bound(), 1)
-
 
 @dataclass(frozen=True)
 class CompositionNode:
@@ -175,14 +166,6 @@ class CompositionNode:
 
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         return self.outer.eval_batch(self.inner.eval_batch(Z))
-
-    def per_variable_bounds(self) -> tuple[int, ...]:
-        od = self.outer.max_degree_bound()
-        ib = self.inner.per_variable_bounds()
-        return tuple(od * b for b in ib)
-
-    def max_degree_bound(self) -> int:
-        return self.outer.max_degree_bound() * self.inner.max_degree_bound()
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +192,6 @@ class PolyMap:
     document_certificates: Optional[str] = None
     certificate: Optional[Certificate] = field(default=None, init=False)
     _evaluator: Optional[Evaluator] = field(default=None, init=False)
-    _degree_bound: Optional[int] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.components is None and self.node is None:
@@ -267,27 +249,11 @@ class PolyMap:
             raise DimensionMismatch("point length must match the domain dimension")
         return self.evaluator().eval_exact(pt)
 
-    # ------------------------------------------------------------- bounds
-
     def per_variable_bounds(self) -> tuple[int, ...]:
-        if self.components is not None:
-            bounds = [0] * self.m
-            for c in self.components:
-                for i, d in enumerate(c.per_variable_degrees()):
-                    bounds[i] = max(bounds[i], d)
-            return tuple(bounds)
-        return self.node.per_variable_bounds()
-
-    def max_degree_bound(self) -> int:
-        """Bound on the total degree, computed once: every certification
-        checks it, and children's bounds feed their parents'."""
-        if self._degree_bound is None:
-            if self.components is not None:
-                bound = max((c.degree() for c in self.components), default=0)
-            else:
-                bound = self.node.max_degree_bound()
-            object.__setattr__(self, "_degree_bound", bound)
-        return self._degree_bound
+        """Each variable's largest exponent over the explicit components."""
+        if self.components is None:
+            raise InfeasibleError("degree bounds need materialized components")
+        return tuple(map(max, zip([0] * self.m, *(c.per_variable_degrees() for c in self.components))))
 
     def jacobian(self) -> list[list[Polynomial]]:
         """Exact partial derivatives [r][m]; needs explicit components."""
@@ -368,23 +334,32 @@ def _difference_at(pmap: PolyMap, k: int, point: Sequence[GaussianRational]) -> 
     return qv - qz**k
 
 
-def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[str]:
-    points = _refutation_points(pmap.m)
-    # only a fast disproof, on explicit components.  A map too large to
-    # square in full is proved through its structure node, if it has one,
-    # for far less than decoding and evaluating its components costs.
-    # Skipped too when the exact power tables would outgrow the budget,
-    # priced from the decoded maxima before any table is built; they hold
-    # d(d+1)/2 for the degree d >= k, which bounds q(p)**k.
-    if pmap.components is None or (pmap.node is not None and _squaring_cost(pmap) > budget):
+def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[Certificate]:
+    """A fast exact disproof of q(f) = q^k from the explicit components, or
+    None: first the degree bound, then a scan of the difference at four
+    points.  A map without components is left to its construction rule."""
+    if pmap.components is None:
         return None
+    bound = max([0, *(c.degree() for c in pmap.components)])
+    if k > bound:
+        witness = f"deg q(f) <= {2 * bound} < {int_text(2 * k)} = deg q^{int_text(k)}"
+        return Certificate(k, "exact-evaluation", False, {"stage": "degree bound"}, witness)
+    # A map too large to square in full is proved through its structure
+    # node, if it has one, for far less than decoding and evaluating its
+    # components costs.  Skipped too when the exact power tables would
+    # outgrow the budget, priced from the decoded maxima before any table is
+    # built; they hold d(d+1)/2 for the degree d >= k, which bounds q(p)**k.
+    if pmap.node is not None and _squaring_cost(pmap) > budget:
+        return None
+    points = _refutation_points(pmap.m)
     if len(points) * pmap.evaluator().power_cost() > budget:
         return None
     for point in points:
         diff = _difference_at(pmap, k, point)
         if not diff.is_zero():
             coords = ", ".join(v.canonical_str() for v in point)
-            return f"q(f(p)) - q(p)^{k} = {diff.canonical_str()} at p = ({coords})"
+            witness = f"q(f(p)) - q(p)^{k} = {diff.canonical_str()} at p = ({coords})"
+            return Certificate(k, "exact-evaluation", False, {"stage": "refutation scan"}, witness)
     return None
 
 
@@ -581,6 +556,8 @@ def _grid_misses(rows: list, k: int, den: int, dims: list[int], sides: list[int]
 
 
 def _grid_cert(pmap: PolyMap, k: int, grid_budget: int, expansion_budget: int) -> Certificate:
+    if pmap.components is None:
+        raise InfeasibleError("grid zero test needs materialized components")
     bounds = pmap.per_variable_bounds()
     diff_bounds = [max(2 * b, 2 * k) for b in bounds]
     npoints = math.prod(b + 1 for b in diff_bounds)
@@ -589,8 +566,6 @@ def _grid_cert(pmap: PolyMap, k: int, grid_budget: int, expansion_budget: int) -
             f"grid zero test needs {npoints} points for per-variable bounds {diff_bounds}; "
             f"budget is {grid_budget}"
         )
-    if pmap.components is None:
-        raise InfeasibleError("grid zero test needs materialized components")
     evaluator = pmap.evaluator()
     check_room(evaluator.power_cost(), "grid zero test power tables", expansion_budget)
     den, rows = evaluator.integer_terms()
@@ -634,12 +609,13 @@ def certify_order(
 ) -> Certificate:
     """Decide exactly whether q(map(z)) = q(z)^k.
 
-    ``method`` is "auto", "expansion" or "grid".  A claim above the map's
-    degree bound is refuted before q^k is formed.  Then, in every mode, an
-    exact scan of the explicit components at four points runs: one nonzero
-    value is a sound disproof and catches corrupted maps and wrong claimed
-    orders long before any expensive proof work.  A map with a structure
-    node and components too large to square skips it: its construction
+    ``method`` is "auto", "expansion" or "grid".  In every mode a map with
+    explicit components first meets ``_refute``: a claim above their degree
+    is refuted before q^k is formed, and then an exact scan at four points
+    runs, where one nonzero value is a sound disproof that catches corrupted
+    maps and wrong claimed orders long before any expensive proof work.  A
+    map with a structure node and components too large to square skips the
+    scan, and a map without components skips both: its construction rule
     decides the claim.  The map is not modified.
     """
     _require_int(k, "the claimed order")
@@ -647,13 +623,9 @@ def certify_order(
         raise ValueError("claimed order must be nonnegative")
     if method not in ("auto", "expansion", "grid"):
         raise ValueError(f"unknown certification method {method!r}")
-    bound = max(pmap.max_degree_bound(), 0)
-    if k > bound:
-        witness = f"deg q(f) <= {2 * bound} < {int_text(2 * k)} = deg q^{int_text(k)}"
-        return Certificate(k, "exact-evaluation", False, {"stage": "degree bound"}, witness)
-    witness = _refute(pmap, k, expansion_budget)
-    if witness is not None:
-        return Certificate(k, "exact-evaluation", False, {"stage": "refutation scan"}, witness)
+    refuted = _refute(pmap, k, expansion_budget)
+    if refuted is not None:
+        return refuted
     if method in ("auto", "expansion"):
         try:
             return _expansion_cert(pmap, k, _Budget(expansion_budget))

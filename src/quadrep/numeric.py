@@ -29,6 +29,10 @@ class NumericError(Exception):
 # points per evaluation in the residual scan, for memory: a million-point sampled
 # verify peaks at 192 MB (pi_n:4,2) and 165 MB (pi3_s2:7), 358 and 270 MB unchunked
 _CHUNK = 2048
+# largest deviation of a suspension's tail from c_u(s, t) u that passes
+HEMISPHERE_TOL = 1e-9
+# time steps of the retraction homotopy and the contraction loop, ends included
+_HOMOTOPY_STEPS = 11
 
 
 def thread_count() -> int:
@@ -56,14 +60,14 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> np.ndarray:
     return out / norms
 
 
-def sample_quadric(m: int, count: int, seed: int = 0, spread: float = 0.35) -> np.ndarray:
+def sample_quadric(m: int, count: int, seed: int = 0) -> np.ndarray:
     """Seeded points of the complex quadric q = 1 in C^m, exact to rounding.
 
     Sampling goes through the tangent-bundle picture: draw a unit vector v
     and a tangent vector w orthogonal to it, then x = sqrt(|w|^2 + 1) * v,
     z = x + i w lands on the quadric because |x|^2 - |w|^2 = 1 and x.w = 0.
 
-    Tangent norms are drawn uniformly in [0, spread], a hard cap rather than
+    Tangent norms are drawn uniformly in [0, 0.35], a hard cap rather than
     a Gaussian tail: the quadric is unbounded and sum-of-squares values of
     an order-k map grow like |z|^(2k), so for the order-43 catalog maps a
     single far-out sample would drown the 1e-9 residual contract in float
@@ -78,7 +82,7 @@ def sample_quadric(m: int, count: int, seed: int = 0, spread: float = 0.35) -> n
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     w = rng.normal(size=(count, m))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    w *= spread * rng.uniform(0.0, 1.0, size=(count, 1))
+    w *= 0.35 * rng.uniform(0.0, 1.0, size=(count, 1))
     w -= np.sum(w * v, axis=1, keepdims=True) * v
     return tangent_unlift(v, w)
 
@@ -124,7 +128,7 @@ def _retract(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s[..., None] * W.real
 
 
-def retraction_homotopy_residual(m: int, samples: int = 100, tsteps: int = 11, seed: int = 0) -> float:
+def retraction_homotopy_residual(m: int, samples: int = 100, seed: int = 0) -> float:
     """Max real-form quadric residual along the retraction homotopy.
 
     The homotopy scales the imaginary part by (1 - t) and rescales the real
@@ -142,7 +146,7 @@ def retraction_homotopy_residual(m: int, samples: int = 100, tsteps: int = 11, s
     x, y = Z.real, Z.imag
     ysq = np.sum(y * y, axis=1)
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, tsteps):
+    for t in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS):
         scale = np.sqrt((1 - t) ** 2 * ysq + 1.0) / np.sqrt(ysq + 1.0)
         xt = scale[:, None] * x
         yt = (1 - t) * y
@@ -208,29 +212,32 @@ class HemisphereResult:
         return self.passed
 
 
-def hemisphere_check(pmap: PolyMap, samples: int = 1000, seed: int = 0, tol: float = 1e-9) -> HemisphereResult:
+def hemisphere_check(pmap: PolyMap, samples: int = 1000, seed: int = 0) -> HemisphereResult:
     """Structure check for maps built by suspension.
 
     On real sphere points (z, u) the appended block of the image must be
     c_u(1, |z|^2) * u with c_u positive, so the map fixes the equator
     (u = 0) setwise and preserves both hemispheres coordinatewise in u.
+    The block is read from the map's last ell explicit components when it
+    has them, so the stored tail is what meets the structure; a map known
+    only by its node is read through the node formula.
     """
     if not isinstance(pmap.node, SuspensionNode):
         raise PreconditionError("hemisphere check needs a map built by suspend (lineage missing)")
     node = pmap.node
     ell = node.ell
     m0 = node.f.m
-    r0 = pmap.r - ell
+    # the stored tail: the last ell components, or the node formula without them
+    tails = pmap if pmap.components is None else PolyMap.explicit(pmap.components[-ell:], "tail")
 
     X = sample_sphere(pmap.m - 1, samples, seed)
     z, u = X[:, :m0], X[:, m0:]
-    W = pmap.eval_batch(X.astype(complex))
+    tail = tails.eval_batch(X.astype(complex))[:, -ell:]
     s = np.sum(X * X, axis=1)
     t = np.sum(z * z, axis=1)
     st = np.stack([s, t], axis=1).astype(complex)
     scale = node.triple.u_coeff.eval_batch(st).real
 
-    tail = W[:, r0:]
     deviation = float(np.abs(tail - scale[:, None] * u).max(initial=0.0))
     min_scale = float(scale.min(initial=np.inf))
     active = np.abs(u) > 1e-12
@@ -241,10 +248,9 @@ def hemisphere_check(pmap: PolyMap, samples: int = 1000, seed: int = 0, tol: flo
         [sample_sphere(m0 - 1, max(samples // 10, 8), seed + 7), np.zeros((max(samples // 10, 8), ell))],
         axis=1,
     )
-    eq_tail = pmap.eval_batch(equator.astype(complex))[:, r0:]
-    equator_max = float(np.abs(eq_tail).max(initial=0.0))
+    equator_max = float(np.abs(tails.eval_batch(equator.astype(complex))[:, -ell:]).max(initial=0.0))
 
-    passed = deviation < tol and min_scale > 0.0 and violations == 0 and equator_max == 0.0
+    passed = deviation < HEMISPHERE_TOL and min_scale > 0.0 and violations == 0 and equator_max == 0.0
     return HemisphereResult(passed, deviation, min_scale, equator_max, violations)
 
 
@@ -257,24 +263,23 @@ class DegreeResult:
     defect: float
 
 
-def _require_sphere_map(pmap, tol: float = 1e-6):
+def _require_sphere_map(pmap):
     residual = quadric_residual_scan(pmap, samples=512, seed=0)
-    if residual >= tol:
-        raise NumericError(
-            f"map does not hold the quadric: residual {residual:.3e} >= {tol:.0e}"
-        )
+    if residual >= 1e-6:
+        raise NumericError(f"map does not hold the quadric: residual {residual:.3e} >= 1e-06")
 
 
-def winding_degree(pmap, samples: int = 4096) -> DegreeResult:
+def winding_degree(pmap) -> DegreeResult:
     """Topological degree of a circle self-map by angle accumulation.
 
-    Follows t -> retraction(F(cos t, sin t)) around the circle, accumulating
-    minimal angle differences; the total divided by 2 pi is the degree.
+    Follows t -> retraction(F(cos t, sin t)) at 4096 points around the
+    circle, accumulating minimal angle differences; the total divided by
+    2 pi is the degree.
     """
     if pmap.m != 2 or pmap.r != 2:
         raise DimensionMismatch("winding degree needs a self-map of the circle quadric (m = r = 2)")
     _require_sphere_map(pmap)
-    t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    t = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
     P = np.stack([np.cos(t), np.sin(t)], axis=1).astype(complex)
     H = _retract(pmap.eval_batch(P))[1]
     angles = np.arctan2(H[:, 1], H[:, 0])
@@ -284,7 +289,7 @@ def winding_degree(pmap, samples: int = 4096) -> DegreeResult:
     value = int(round(total))
     defect = abs(total - value)
     if defect >= 0.01:
-        raise NumericError(f"winding accumulation defect {defect:.4f} >= 0.01; increase samples")
+        raise NumericError(f"winding accumulation defect {defect:.4f} >= 0.01")
     return DegreeResult(value, defect)
 
 
@@ -357,7 +362,6 @@ class TracedCurve:
     """A closed preimage curve on S^3 for one regular value on S^2."""
 
     points: np.ndarray          # [N, 4] unit vectors
-    closed: bool
     value: np.ndarray           # the regular value in R^3
     rejected: int = 0           # corrector steps halved and retried
     min_singular: float = np.inf  # smallest singular value of JG over the nodes
@@ -378,6 +382,8 @@ def _orthonormal_complement(c: np.ndarray) -> np.ndarray:
 
 # per-row outcomes of _PreimageSystem.newton; _FAILED rows are dropped silently
 _CONVERGED, _FAILED, _RANK_DROP, _OVERFLOW = range(4)
+# a Newton row has converged once every residual of G is below this
+_NEWTON_TOL = 1e-10
 
 
 @dataclass
@@ -411,7 +417,7 @@ class _PreimageSystem:
         JG = np.concatenate([2 * P[:, None, :], self.normal @ dh], axis=1)
         return s, G, JG, h
 
-    def newton(self, P: np.ndarray, tol: float = 1e-10, max_iter: int = 60) -> _NewtonRows:
+    def newton(self, P: np.ndarray, max_iter: int = 60) -> _NewtonRows:
         """Newton's method on every row of P [N, 4] at once, with per-row outcomes.
 
         Each iterate takes one stacked SVD JG = U diag(sv) Vt over the rows
@@ -435,7 +441,7 @@ class _PreimageSystem:
                 self.iterations += len(rows)
                 gmax = np.max(np.abs(G), axis=1)
                 finite = np.isfinite(gmax + JG.sum(axis=(1, 2))) & (s > 0)
-                alive = finite & ((gmax >= tol) | (h @ self.value > 0.25))
+                alive = finite & ((gmax >= _NEWTON_TOL) | (h @ self.value > 0.25))
                 if not alive.all():
                     out.status[rows[~finite]] = _OVERFLOW
                     rows, Q, G, JG, gmax = rows[alive], Q[alive], G[alive], JG[alive], gmax[alive]
@@ -443,7 +449,7 @@ class _PreimageSystem:
                         break
                 u, sv, vt = np.linalg.svd(JG)
                 singular = sv[:, -1] < 1e-8 * np.maximum(sv[:, 0], 1e-12)
-                done = singular | (gmax < tol)
+                done = singular | (gmax < _NEWTON_TOL)
                 if done.any():
                     out.status[rows[singular & (gmax < 1e-3)]] = _RANK_DROP
                     hit = done & ~singular
@@ -489,7 +495,6 @@ def _trace_curve(
     start_tangent: np.ndarray,
     start_jac: np.ndarray,
     start_sv: float,
-    max_steps: int = 100_000,
 ) -> TracedCurve:
     """Predictor-corrector continuation along the preimage circle.
 
@@ -508,7 +513,7 @@ def _trace_curve(
     points = [start]
     p, step, rejected, smallest = start, _STEP_FIRST, 0, start_sv
     tau = start_tangent if np.linalg.det(np.vstack([start_jac, start_tangent])) > 0 else -start_tangent
-    for _ in range(max_steps):
+    for _ in range(100_000):
         out = system.newton((p + step * tau)[None, :])
         status = out.status[0]
         if status == _OVERFLOW:
@@ -537,7 +542,7 @@ def _trace_curve(
         step = min(step / factor, _STEP_MAX)
         gap = start - p
         if np.dot(gap, tau) > 0 and np.dot(gap, gap) < step * step:
-            return TracedCurve(np.array(points), True, system.value.copy(), rejected, smallest)
+            return TracedCurve(np.array(points), system.value.copy(), rejected, smallest)
     raise NumericError("curve failed to close within the step budget")
 
 
@@ -716,18 +721,17 @@ def hopf_invariant(
     pmap: PolyMap,
     values: Optional[tuple[np.ndarray, np.ndarray]] = None,
     seed: int = 0,
-    max_retries: int = 5,
 ) -> HopfResult:
     """Hopf invariant of a map S^3 -> S^2 by preimage linking.
 
     Traces the preimage circles of two regular values of the retracted map,
     projects their nodes stereographically and sums the exact linking
     numbers of the projected polygons.  A constant-like map has no preimage
-    for generic values; the invariant is 0 by convention in that case.  A rank drop at a refined
-    seed or along a curve of either value means that value is not regular;
-    both values are then perturbed and the computation retried.  Given
-    values must be finite, nonzero and distinct 3-vectors (ValueError
-    otherwise).
+    for generic values; the invariant is 0 by convention in that case.  A
+    rank drop at a refined seed or along a curve of either value means that
+    value is not regular; both values are then perturbed and the
+    computation retried, five attempts in all.  Given values must be
+    finite, nonzero and distinct 3-vectors (ValueError otherwise).
     """
     if pmap.m != 4 or pmap.r != 3:
         raise DimensionMismatch("hopf invariant needs a map C^4 -> C^3")
@@ -740,7 +744,7 @@ def hopf_invariant(
     fused = _MapAndJacobian(pmap)
     result = HopfResult(0, 0.0)
 
-    for attempt in range(max_retries):
+    for attempt in range(5):
         result.retries = attempt
         try:
             curves_a, curves_b = _preimage_curves(fused, (v1, v2), (seed + attempt, seed + attempt + 13), result)
@@ -785,9 +789,7 @@ def _perturbation_rotation(seed: int) -> np.ndarray:
 # -------------------------------------------------------------- homotopies
 
 
-def even_order_nullhomotopy_residual(
-    pmap, tsteps: int = 11, samples: int = 200, seed: int = 0
-) -> float:
+def even_order_nullhomotopy_residual(pmap, samples: int = 200, seed: int = 0) -> float:
     """Quadric residual along the even-order contraction loop.
 
     For a map of even order 2r the path g(t) = exp(i pi t) from 1 to -1
@@ -801,7 +803,7 @@ def even_order_nullhomotopy_residual(
         raise PreconditionError("the contraction loop needs a certified even order >= 2")
     Z = sample_quadric(pmap.m, samples, seed)
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, tsteps):
+    for t in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS):
         gamma = np.exp(1j * np.pi * t)
         W = pmap.eval_batch(gamma * Z) * gamma ** (-order)
         worst = max(worst, float(quadric_residual(W).max(initial=0.0)))

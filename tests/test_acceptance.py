@@ -217,9 +217,9 @@ def test_criterion_7_structure_checks(chain):
         blend = blend_homotopy(f, g, t)
         assert quadric_residual_scan(blend, samples=10_000, seed=0) < RESIDUAL_TOL, f"blend t={t}"
 
-    retr = retraction_homotopy_residual(3, samples=100, tsteps=11, seed=0)
+    retr = retraction_homotopy_residual(3, samples=100, seed=0)
     assert retr < RESIDUAL_TOL
-    loop = even_order_nullhomotopy_residual(f, tsteps=11, samples=200, seed=0)
+    loop = even_order_nullhomotopy_residual(f, samples=200, seed=0)
     assert loop < RESIDUAL_TOL
 
     elapsed = time.time() - t0

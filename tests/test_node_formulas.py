@@ -93,13 +93,16 @@ def test_components_match_the_construction_formula(target):
 def test_node_only_map_is_refuted_by_its_construction():
     f2 = catalog("pi_np3:2")
     assert f2.components is None
-    assert certify_order(f2, 21).summary() == {
-        "claimed_order": 21,
-        "method": "factored-expansion",
-        "verdict": "fail",
-        "detail": {"outer_order": 2, "inner_order": 11},
-        "witness": "composition of orders 2 and 11 has order 22, not 21",
-    }
+    # 100 is beyond any degree f2 could have, but only components carry a
+    # degree bound: the construction rule refutes both claims
+    for k in (21, 100):
+        assert certify_order(f2, k).summary() == {
+            "claimed_order": k,
+            "method": "factored-expansion",
+            "verdict": "fail",
+            "detail": {"outer_order": 2, "inner_order": 11},
+            "witness": f"composition of orders 2 and 11 has order 22, not {k}",
+        }
     with pytest.raises(InfeasibleError, match="materialized components"):
         f2.eval_exact(_refutation_points(f2.m)[0])
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_retraction_rejects_off_quadric_points():
 
 
 def test_retraction_homotopy_residual_small():
-    assert retraction_homotopy_residual(3, samples=100, tsteps=11, seed=0) < 1e-9
+    assert retraction_homotopy_residual(3, samples=100, seed=0) < 1e-9
 
 
 def test_tangent_lift_hand_point():
@@ -188,7 +189,7 @@ def test_sample_quadric_is_the_inverse_lift_of_its_draws():
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     w *= spread * rng.uniform(0.0, 1.0, size=(count, 1))
     w -= np.sum(w * v, axis=1, keepdims=True) * v
-    assert np.array_equal(sample_quadric(m, count, seed, spread), _former_sample_quadric_tail(v, w))
+    assert np.array_equal(sample_quadric(m, count, seed), _former_sample_quadric_tail(v, w))
 
 
 def test_tangent_lift_reciprocal_form_matches_the_division():
@@ -241,6 +242,16 @@ def test_hemisphere_phi_passes():
     assert res.passed
     assert res.equator_max == 0.0
     assert res.min_u_scale > 0
+
+
+def test_hemisphere_compares_the_stored_tail_with_the_structure():
+    pm = catalog("pi_np1:4")
+    u2 = Polynomial.variable(pm.m, pm.m - 1)
+    comps = (*pm.components[:-1], pm.components[-1] + u2.scale(Fraction(1, 10**6)))
+    bad = PolyMap(pm.m, pm.r, components=comps, node=pm.node, label="tail", order=pm.order)
+    assert hemisphere_check(pm, samples=1000, seed=0).max_tail_deviation < 1e-12
+    res = hemisphere_check(bad, samples=1000, seed=0)
+    assert not res.passed and 1e-7 < res.max_tail_deviation <= 1e-6
 
 
 def test_hemisphere_needs_lineage():
@@ -473,7 +484,7 @@ def test_hopf_invariant_of_hopf_map():
     assert res.defect < 0.05
     assert len(res.curves) == 2
     for curve in res.curves:
-        assert curve.closed
+        assert np.linalg.norm(curve.points[-1] - curve.points[0]) < numeric._STEP_MAX
         chords, gaps = chord_midpoint_gaps(f, curve)
         assert chords.max() <= numeric._STEP_MAX
         assert gaps.max() < 1e-3
@@ -777,7 +788,7 @@ def test_each_newton_iterate_takes_one_svd_and_no_solve(monkeypatch):
     monkeypatch.setattr(numeric._PreimageSystem, "residual_and_jac", counted_residual)
     monkeypatch.setattr(numeric._PreimageSystem, "newton", counted_newton)
     (curves,) = numeric._preimage_curves(fused, [np.array([1.0, 0.0, 0.0])], [1], numeric.HopfResult(0, 0.0), n_seeds=16)
-    assert curves and all(c.closed for c in curves)
+    assert curves and all(np.linalg.norm(c.points[-1] - c.points[0]) < numeric._STEP_MAX for c in curves)
     # one seed batch and one corrector run per node or rejected step
     assert counts["runs"] == 1 + sum(len(c.points) - 1 + c.rejected for c in curves)
     # an iterate whose rows have all left (antipodal sheet or overflow) ends
@@ -845,7 +856,7 @@ def test_hopf_invariant_of_a_map_that_overflows_is_a_numeric_error():
 
 def test_even_order_loop_residual_hopf():
     f, _ = hopf_pair()
-    assert even_order_nullhomotopy_residual(f, tsteps=11, samples=200, seed=0) < 1e-9
+    assert even_order_nullhomotopy_residual(f, samples=200, seed=0) < 1e-9
 
 
 def test_even_order_loop_endpoints():
