@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from typing import Optional
@@ -54,8 +55,20 @@ class _Failure(Exception):
         self.code = code
 
 
+def _strict(value):
+    """``value`` with every float that is not finite spelled as a string
+    ("nan", "inf", "-inf"), so the report stays strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(dumps_canonical(report))
+    sys.stdout.write(dumps_canonical(_strict(report)))
 
 
 def _rebuild_from_lineage(pmap: PolyMap) -> PolyMap:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from re import fullmatch
 from types import MappingProxyType
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -668,19 +668,154 @@ class _Terms(Mapping):
 # polynomials in one variable set becomes the union of their monomials, as
 # exponent tuples in canonical order, one common denominator, each
 # polynomial's Gaussian-integer numerators over it by monomial row, and the
-# largest exponent of each variable followed by the largest degree.  The
-# batch backend takes its float coefficients from it, gathers the monomials
-# of a block of terms from per-variable power tables and multiplies them by
-# the coefficient matrix.  The exact backend evaluates each monomial once,
-# as a product of per-variable power rows padded to the largest degree by
-# powers of the point's denominator, so its inner loop is Python int
-# arithmetic and Fractions appear only in the final values.  Both backends
-# are priced from the maxima alone; ``integer_terms`` gives the numerators
-# by monomial, for the modular grid zero test in maps.py.
+# largest exponent of each variable followed by the largest degree.
+#
+# The batch backend splits the variables into two groups, A and B.  The
+# monomials of a group are the distinct projections of the terms onto its
+# variables, in canonical order, so each group's table is sorted by degree.
+# A term is A[a] * B[b], and the terms whose projections have the degrees
+# (da, db) form one dense coefficient block over the full degree slices A_da
+# and B_db: value_j = sum over the blocks of A_da^T C_j[da, db] B_db.  A
+# block is one matrix product over its larger side, a contiguous slice of
+# rows, then one elementwise contraction over its smaller side, which a
+# slice holding only the monomial 1 of its group skips.  Blocks that share a
+# B slice and read adjacent A slices merge, cut into runs of at most
+# _TERM_BLOCK A rows.  Per block of points the B table is gathered once from
+# per-variable power tables, and each block gathers its own A rows, so the
+# memory of a block of points stays within the B table and one run.  The
+# empty split (every variable in A, B holding only 1) is the
+# monomial-at-a-time form: the monomials gathered _TERM_BLOCK at a time in
+# canonical order, each run multiplied by its coefficient matrix.  When the
+# evaluator is first priced, a cost model over the gathers, coefficient
+# products, contractions and numpy calls of a block of points picks the
+# split among the cuts of the variable list, either side in B (construction
+# appends variables, so its groups are runs); a split whose dense blocks
+# take more than _DENSE_LIMIT entries per monomial, or whose block of points
+# takes more room than DEFAULT_EXPANSION_BUDGET, is no candidate, so a split
+# never makes maps.check_room refuse a batch that the empty split fits.
+#
+# The exact backend evaluates each monomial once, as a product of
+# per-variable power rows padded to the largest degree by powers of the
+# point's denominator, so its inner loop is Python int arithmetic and
+# Fractions appear only in the final values; ``integer_terms`` gives the
+# numerators by monomial, for the modular grid zero test in maps.py.  Both
+# backends are priced before anything is built.
 
-_TERM_BLOCK = 128  # monomials gathered per matrix product; sets the summation order
+# Product-count budget for a single full expansion, and the most room, in
+# coordinates, that the tables of one evaluation block may take (maps.check_room).
+DEFAULT_EXPANSION_BUDGET = 5_000_000
+_TERM_BLOCK = 128  # most A rows per block; sets the summation order
 _ROW_BLOCK = 4096  # most points per block
 _GATHER_BYTES = 1 << 19  # one gathered term block stays in cache
+_DENSE_LIMIT = 4  # most dense block entries per monomial of a split; at 0 only the empty split remains
+# modelled nanoseconds of a row block: per point, each gathered factor, coefficient
+# product and contracted entry; and each numpy call
+_GATHER_NS, _PRODUCT_NS, _CONTRACT_NS, _CALL_NS = 2.5, 0.05, 4.0, 2000.0
+
+
+class _Grading(NamedTuple):
+    """The two tables of a split and its blocks.
+
+    ``groups`` holds the variables of A and of B, ``tables`` each table's
+    rows as exponents over its group, ``degrees`` each row's degree and
+    ``rows`` each monomial's row in A and in B.  A block (a0, a1, b0, b1)
+    pairs the A rows a0..a1 with the B rows b0..b1; blocks are ordered by
+    (b0, a0), and ``products`` counts the entries of their dense blocks.
+    """
+
+    groups: tuple[tuple[int, ...], tuple[int, ...]]
+    tables: tuple[np.ndarray, np.ndarray]
+    degrees: tuple[np.ndarray, np.ndarray]
+    rows: tuple[np.ndarray, np.ndarray]
+    blocks: list[tuple[int, int, int, int]]
+    products: int
+    widest: int  # rows of the largest B degree slice
+
+    def sides(self, block) -> tuple[bool, bool]:
+        """(whether the block's matrix product runs over its A rows, the
+        larger side; whether the other side is contracted after it, which a
+        slice holding only the monomial 1 of its group is not)."""
+        a0, a1, b0, b1 = block
+        over_a = a1 - a0 >= b1 - b0
+        table, row = (1, b0) if over_a else (0, a0)
+        return over_a, bool(self.degrees[table][row])
+
+    def cost(self, npolys: int) -> tuple[float, float]:
+        """Modelled nanoseconds of one row block: (per point, per block)."""
+        factors = [max(1, len(group)) for group in self.groups]
+        gathers, calls, contracted = len(self.tables[1]) * factors[1], factors[1], 0
+        for a0, a1, b0, b1 in self.blocks:
+            over_a, contract = self.sides((a0, a1, b0, b1))
+            gathers += (a1 - a0) * factors[0]
+            calls += factors[0] + (4 if contract else 2)
+            if contract:
+                contracted += b1 - b0 if over_a else a1 - a0
+        per_point = _GATHER_NS * gathers + npolys * (_PRODUCT_NS * self.products + _CONTRACT_NS * contracted)
+        return per_point, _CALL_NS * calls
+
+
+def _table(exps: np.ndarray, cols: tuple[int, ...]):
+    """(table, degrees, where): the distinct projections of the rows of
+    ``exps`` onto ``cols`` in canonical order, their degrees, and the table
+    row of each monomial's projection."""
+    sub = exps[:, cols]
+    deg = sub.sum(axis=1)
+    if not cols:  # the monomial 1 alone
+        return sub[:1], deg[:1], np.zeros(len(exps), dtype=np.intp)
+    if len(cols) == exps.shape[1]:  # the monomials themselves, distinct and in canonical order
+        return sub, deg, np.arange(len(exps))
+    order = np.lexsort([-sub[:, i] for i in reversed(range(len(cols)))] + [-deg])
+    ordered = sub[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    where = np.empty(len(ordered), dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return ordered[first], deg[order][first], where
+
+
+def _grade(exps: np.ndarray, split, known: dict | None = None) -> _Grading:
+    """The grading of the monomials ``exps`` with the variables ``split`` in
+    group B and the others in group A; ``known`` keeps the tables of the
+    groups met so far, since a cut of the variables puts each side in B once."""
+    known = {} if known is None else known
+    groups = (tuple(i for i in range(exps.shape[1]) if i not in split), tuple(sorted(split)))
+    for cols in groups:
+        if cols not in known:
+            known[cols] = _table(exps, cols)
+    (ta, da, ia), (tb, db, ib) = (known[cols] for cols in groups)
+    # each row's degree slice: degrees descend, so a slice is a run of rows
+    a_start, a_stop = np.searchsorted(-da, -da, "left"), np.searchsorted(-da, -da, "right")
+    b_start, b_stop = np.searchsorted(-db, -db, "left"), np.searchsorted(-db, -db, "right")
+    span = len(ta) + 1
+    runs = []
+    pairs = np.sort(b_start[ib] * span + a_start[ia])  # (B slice, A slice) of each monomial
+    for key in pairs[np.diff(pairs, prepend=-1) != 0].tolist():
+        b0, a0 = divmod(key, span)
+        if runs and runs[-1][2] == b0 and runs[-1][1] == a0:
+            runs[-1][1] = int(a_stop[a0])
+        else:
+            runs.append([a0, int(a_stop[a0]), b0, int(b_stop[b0])])
+    blocks = [(c, min(c + _TERM_BLOCK, a1), b0, b1) for a0, a1, b0, b1 in runs for c in range(a0, a1, _TERM_BLOCK)]
+    products = sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in blocks)
+    widest = int((b_stop - b_start).max(initial=0))
+    return _Grading(groups, (ta, tb), (da, db), (ia, ib), blocks, products, widest)
+
+
+def _factors(at: np.ndarray, exps: np.ndarray, r0: int, r1: int) -> list:
+    """The power-table rows ``at`` of the table rows r0..r1, one index array
+    per variable that some of them use."""
+    return [at[r0:r1, i] for i in range(at.shape[1]) if exps[r0:r1, i].any()]
+
+
+def _monomials(table: np.ndarray, active: list, rows: int) -> np.ndarray:
+    """The products of the power-table rows ``active``, one index array per
+    variable, or ``rows`` rows of 1 when there is none."""
+    if not active:
+        return np.ones((rows, table.shape[1]), dtype=complex)
+    mons = table[active[0]]
+    for idx in active[1:]:
+        mons *= table[idx]
+    return mons
 
 
 class Evaluator:
@@ -692,7 +827,7 @@ class Evaluator:
     coefficient to float.
     """
 
-    __slots__ = ("nvars", "polys", "_decoded", "_batch")
+    __slots__ = ("nvars", "polys", "_decoded", "_grading", "_batch")
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
@@ -703,6 +838,7 @@ class Evaluator:
         self.nvars = nvars
         self.polys = tuple(polys)
         self._decoded = None
+        self._grading = None
         self._batch = None
 
     def _decode(self):
@@ -727,6 +863,47 @@ class Evaluator:
 
     # --------------------------------------------------------- batch backend
 
+    def _exponents(self) -> np.ndarray:
+        """The monomials as an (M, nvars) array of exponents."""
+        monos, _, _, maxima = self._decode()
+        if maxima[-1] >= 1 << 62:
+            raise OverflowError(f"degree {maxima[-1]} is beyond the batch evaluator")
+        return np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
+
+    def _layout(self) -> _Grading:
+        """The grading of the split that the cost model picks, chosen once.
+
+        Batches range from one point (tracing) to full row blocks (scans),
+        and a modelled cost is linear in the batch size, so a split replaces
+        the empty one only when it is cheaper both for one point and for a
+        full block; the cheapest such split for a full block is taken.  The
+        candidates cut the variable list once, either side in B, and keep
+        their dense blocks and the room of a full block within bounds."""
+        if self._grading is None:
+            exps = self._exponents()
+            npolys, rows = len(self.polys), self._rows_per_block()
+            known = {}
+            best = _grade(exps, (), known)
+            point, block = best.cost(npolys)
+            one, full = point + block, rows * point + block
+            splits = [split for cut in range(1, self.nvars) for split in (range(cut, self.nvars), range(cut))]
+            # every B degree present takes a block, and a block at least a
+            # gather per A variable, a product and a sum
+            prefix = np.cumsum(exps, axis=1)[:, :-1]
+            degrees = np.sort(np.stack([prefix[:, -1:] + exps[:, -1:] - prefix, prefix], axis=2).reshape(len(exps), len(splits)), axis=0)
+            counts = np.count_nonzero(np.diff(degrees, axis=0), axis=0) + 1
+            for split, count in zip(splits, counts.tolist()):
+                if _CALL_NS * (len(split) + count * (self.nvars - len(split) + 2)) >= one:
+                    continue
+                graded = _grade(exps, split, known)
+                if graded.products > _DENSE_LIMIT * len(exps) or self._room(graded, rows) > DEFAULT_EXPANSION_BUDGET:
+                    continue
+                point, block = graded.cost(npolys)
+                if point + block < one and rows * point + block < full:
+                    best, full = graded, rows * point + block
+            self._grading = best
+        return self._grading
+
     def _batch_tables(self):
         if self._batch is None:
             monos, den, rows, maxima = self._decode()
@@ -738,17 +915,39 @@ class Evaluator:
                         coeffs[t, j] = complex(re / den, im / den)
             except OverflowError:
                 raise OverflowError(f"a coefficient is beyond the float range (magnitude {np.finfo(float).max:.6g})") from None
-            exps = np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
+            grading = self._layout()
             top = max(maxima[:-1], default=0) + 1
+            ta, tb = grading.tables
             # row of z_i**e in the flattened power table
-            at = exps + top * np.arange(self.nvars)
-            blocks = []
-            for t0 in range(0, len(monos), _TERM_BLOCK):
-                sl = slice(t0, t0 + _TERM_BLOCK)
-                active = [at[sl, i] for i in range(self.nvars) if exps[sl, i].any()]
-                blocks.append((active, np.ascontiguousarray(coeffs[sl].T)))
-            self._batch = (top, blocks, self._rows_per_block())
+            at_a, at_b = (t + top * np.array(g, dtype=np.intp) for g, t in zip(grading.groups, grading.tables))
+            blocks = [
+                (_factors(at_a, ta, a0, a1), a1 - a0, matrix, *grading.sides((a0, a1, b0, b1)), slice(b0, b1))
+                for (a0, a1, b0, b1), matrix in zip(grading.blocks, self._coefficient_matrices(grading, coeffs))
+            ]
+            # the empty split's blocks read only their A rows
+            b_read = any(contract or not over_a for *_, over_a, contract, _ in blocks)
+            self._batch = (top, (_factors(at_b, tb, 0, len(tb)), len(tb)) if b_read else None, blocks, self._rows_per_block())
         return self._batch
+
+    @staticmethod
+    def _coefficient_matrices(grading: _Grading, coeffs: np.ndarray) -> list[np.ndarray]:
+        """The dense coefficient matrix of each block, all views of one flat
+        array: one column per row of the side the product runs over, one row
+        per (polynomial, row of the other side)."""
+        npolys = coeffs.shape[1]
+        ia, ib = grading.rows
+        a0, a1, b0, b1 = np.array(grading.blocks, dtype=np.intp).reshape(-1, 4).T
+        na, nb = a1 - a0, b1 - b0
+        # each monomial's block: blocks tile the A rows of each B slice in order
+        span = len(grading.tables[0]) + 1
+        b_first = np.searchsorted(-grading.degrees[1], -grading.degrees[1], "left")
+        at = np.searchsorted(b0 * span + a0, b_first[ib] * span + ia, "right") - 1
+        offsets = np.concatenate(([0], np.cumsum(npolys * na * nb)))
+        i, b = ia - a0[at], ib - b0[at]
+        inner = np.where(na[at] >= nb[at], b * na[at] + i, i * nb[at] + b)
+        flat = np.zeros(offsets[-1], dtype=complex)
+        flat[(offsets[at] + inner)[:, None] + (na * nb)[at][:, None] * np.arange(npolys)] = coeffs
+        return [flat[offsets[k] : offsets[k + 1]].reshape(-1, max(na[k], nb[k])) for k in range(len(na))]
 
     def _rows_per_block(self) -> int:
         """Points per ``eval_batch`` block: the largest power of two up to
@@ -759,10 +958,19 @@ class Evaluator:
         return min(_ROW_BLOCK, 1 << (fit.bit_length() - 1))
 
     def batch_cost(self, rows: int | None = None) -> int:
-        """Room the power table of one ``eval_batch`` block over ``rows``
-        points (a full block when None) takes, in units of one coordinate."""
-        block = min(self._rows_per_block(), _ROW_BLOCK if rows is None else rows)
-        return self.nvars * (max(self._decode()[3][:-1], default=0) + 1) * block
+        """Room one ``eval_batch`` block over ``rows`` points (a full block
+        when None) takes, in units of one coordinate."""
+        return self._room(self._layout(), min(self._rows_per_block(), _ROW_BLOCK if rows is None else rows))
+
+    def _room(self, grading: _Grading, block: int) -> int:
+        """Room of a block of ``block`` points on ``grading``: per point the
+        power tables, the B table, the A rows of one block and the largest
+        block product, and once the dense coefficient blocks."""
+        npolys = len(self.polys)
+        powers = self.nvars * (max(self._decode()[3][:-1], default=0) + 1)
+        tables = len(grading.tables[1]) + min(_TERM_BLOCK, len(grading.tables[0]))
+        per_point = powers + tables + npolys * min(_TERM_BLOCK, grading.widest)
+        return per_point * block + npolys * grading.products
 
     def eval_batch(self, points) -> np.ndarray:
         """Values of every polynomial at each row of an (N, nvars) array."""
@@ -771,9 +979,10 @@ class Evaluator:
             Z = Z[None, :]
         if Z.shape[1] != self.nvars:
             raise ValueError("point array width must match the variable count")
-        top, blocks, block = self._batch_tables()
+        top, b_factors, blocks, block = self._batch_tables()
+        npolys = len(self.polys)
         # points run along the last axis, so a gathered power is a contiguous row
-        out = np.zeros((len(self.polys), Z.shape[0]), dtype=complex)
+        out = np.zeros((npolys, Z.shape[0]), dtype=complex)
         for r0 in range(0, Z.shape[0], block):
             zt = Z[r0 : r0 + block].T
             n = zt.shape[1]
@@ -782,15 +991,16 @@ class Evaluator:
             for e in range(1, top):
                 np.multiply(powers[:, e - 1], zt, out=powers[:, e])
             table = powers.reshape(-1, n)
+            b_table = _monomials(table, *b_factors) if b_factors else None
             acc = out[:, r0 : r0 + n]
-            for active, coeffs in blocks:
-                if active:
-                    mons = table[active[0]]
-                    for idx in active[1:]:
-                        mons *= table[idx]
-                else:
-                    mons = np.ones((coeffs.shape[1], n), dtype=complex)
-                acc += coeffs @ mons
+            for active, na, coeffs, over_a, contract, b_rows in blocks:
+                a_rows = _monomials(table, active, na)
+                part = coeffs @ (a_rows if over_a else b_table[b_rows])
+                if contract:
+                    part = part.reshape(npolys, -1, n)
+                    part *= b_table[b_rows] if over_a else a_rows
+                    part = part.sum(axis=1)
+                acc += part
         return out.T
 
     # --------------------------------------------------------- exact backend

@@ -50,12 +50,11 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import GR_I, Evaluator, GaussianRational, Polynomial, _require_int, int_text, sum_of_products
+from .exact import DEFAULT_EXPANSION_BUDGET, GR_I, Evaluator, GaussianRational, Polynomial, _require_int, int_text, sum_of_products
 
-# Product-count budget for a single full expansion, and point budget for the
-# grid zero test.  Both are deliberate ceilings: beyond them the factored
-# certificate is the honest route.
-DEFAULT_EXPANSION_BUDGET = 5_000_000
+# Point budget for the grid zero test.  It and the expansion budget
+# (exact.DEFAULT_EXPANSION_BUDGET) are deliberate ceilings: beyond them the
+# factored certificate is the honest route.
 DEFAULT_GRID_BUDGET = 200_000
 DEFAULT_MATERIALIZE_BUDGET = 20_000_000
 

@@ -27,7 +27,7 @@ class NumericError(Exception):
 
 
 # points per evaluation in the residual scan, for memory: a million-point sampled
-# verify peaks at 192 MB (pi_n:4,2) and 165 MB (pi3_s2:7), 358 and 270 MB unchunked
+# verify peaks at 193 MB (pi_n:4,2) and 170 MB (pi3_s2:7), 358 and 271 MB unchunked
 _CHUNK = 2048
 # largest deviation of a suspension's tail from c_u(s, t) u that passes
 HEMISPHERE_TOL = 1e-9
@@ -152,7 +152,7 @@ def retraction_homotopy_residual(m: int, samples: int = 100, seed: int = 0) -> f
         yt = (1 - t) * y
         r1 = np.abs(np.sum(xt * xt, axis=1) - np.sum(yt * yt, axis=1) - 1.0)
         r2 = np.abs(np.sum(xt * yt, axis=1))
-        worst = max(worst, float(r1.max(initial=0.0)), float(r2.max(initial=0.0)))
+        worst = _worst(_worst(worst, r1), r2)
     return worst
 
 
@@ -179,6 +179,13 @@ def tangent_unlift(v, w) -> np.ndarray:
 # -------------------------------------------------------------------- scans
 
 
+def _worst(worst: float, residuals: np.ndarray) -> float:
+    """The larger of ``worst`` and the largest of ``residuals``, NaN when
+    either holds a NaN: a fold with ``max`` drops a NaN, and a scan whose
+    every value is NaN would read 0 and pass."""
+    return float(np.max((worst, residuals.max(initial=0.0))))
+
+
 def quadric_residual_scan(mapping, samples: int = 10_000, seed: int = 0) -> float:
     """Max |q(F(p)) - 1| over sampled real sphere and complex quadric points.
 
@@ -196,7 +203,7 @@ def quadric_residual_scan(mapping, samples: int = 10_000, seed: int = 0) -> floa
     pts = np.concatenate([real_pts, cplx_pts], axis=0)
     worst = 0.0
     for i in range(0, len(pts), _CHUNK):
-        worst = max(worst, float(quadric_residual(mapping.eval_batch(pts[i : i + _CHUNK])).max(initial=0.0)))
+        worst = _worst(worst, quadric_residual(mapping.eval_batch(pts[i : i + _CHUNK])))
     return worst
 
 
@@ -806,5 +813,5 @@ def even_order_nullhomotopy_residual(pmap, samples: int = 200, seed: int = 0) ->
     for t in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS):
         gamma = np.exp(1j * np.pi * t)
         W = pmap.eval_batch(gamma * Z) * gamma ** (-order)
-        worst = max(worst, float(quadric_residual(W).max(initial=0.0)))
+        worst = _worst(worst, quadric_residual(W))
     return worst

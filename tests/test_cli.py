@@ -180,6 +180,26 @@ def test_coefficient_beyond_the_float_range_exits_2(tmp_path, capsys, target, ar
     assert err.startswith("quadrep: ") and "float range (magnitude 1.79769e+308)" in err
 
 
+def test_sampled_scan_that_overflows_fails_with_a_strict_json_report(tmp_path, capsys):
+    # a coefficient of 10**300 is a float, but its square is not
+    path = str(tmp_path / "overflow.json")
+    run(capsys, "generate", "pi_n:4,2", "-o", path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["components"][0][0]["re"] = "1" + "0" * 300
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    code = main(["verify", path, "--mode", "sampled"])
+    out = capsys.readouterr()
+    check = json.loads(out.out, parse_constant=refuse)["checks"][0]
+    assert code == 3 and "Traceback" not in out.err
+    assert check["verdict"] == "fail" and check["value"] in ("inf", "nan")
+
+
 def test_export_byte_identity(tmp_path, capsys):
     src = str(tmp_path / "a.json")
     dst = str(tmp_path / "b.json")

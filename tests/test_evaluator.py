@@ -7,6 +7,7 @@ share no code with the compiled form they check.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrep import exact
+from quadrep import exact, numeric
 from quadrep.exact import _GATHER_BYTES, _ROW_BLOCK, _TERM_BLOCK, Evaluator, GaussianRational, Polynomial
+from quadrep.maps import catalog
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -119,24 +121,88 @@ def test_batch_backend_several_row_blocks():
     assert_close(poly.eval_batch(Z)[:, None], [poly], Z)
 
 
+def forced(polys, split):
+    """An evaluator of ``polys`` on the split with the variables ``split`` in
+    group B, whatever the cost model would pick."""
+    evaluator = Evaluator(polys)
+    evaluator._grading = exact._grade(evaluator._exponents(), split)
+    return evaluator
+
+
+def every_split(nvars):
+    return [split for size in range(nvars + 1) for split in itertools.combinations(range(nvars), size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), polys=poly_lists(max_terms=12, max_exp=7))
+def test_every_split_equals_the_reference(data, polys):
+    nvars = polys[0].nvars
+    pairs = st.lists(st.tuples(floats, floats), min_size=nvars, max_size=nvars)
+    Z = np.array([[complex(a, b) for a, b in data.draw(pairs)] for _ in range(3)])
+    for split in every_split(nvars):
+        assert_close(forced(polys, split).eval_batch(Z), polys, Z)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nterms=st.integers(1, 2 * _TERM_BLOCK + 50), npolys=st.integers(1, 3))
+def test_every_split_of_many_terms_equals_the_reference(seed, nterms, npolys):
+    polys = many_term_polys(seed, nterms, npolys)
+    rng = random.Random(seed)
+    Z = np.array([[complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(3)] for _ in range(4)])
+    for split in every_split(3):
+        assert_close(forced(polys, split).eval_batch(Z), polys, Z)
+
+
 @pytest.mark.parametrize("nterms", [100, _TERM_BLOCK + 40])
 def test_row_block_does_not_change_a_value(monkeypatch, nterms):
     polys = many_term_polys(5, nterms, 3)
-    evaluator = Evaluator(polys)
-    rows = evaluator._rows_per_block()
-    assert rows == 256  # 100 monomials alone would allow 327 points
     rng = np.random.default_rng(43)
-    Z = rng.normal(size=(2 * rows + 3, 3)) + 1j * rng.normal(size=(2 * rows + 3, 3))
-    values = evaluator.eval_batch(Z)
-    blocks = [evaluator.eval_batch(Z[r0 : r0 + rows]) for r0 in range(0, len(Z), rows)]
-    assert np.array_equal(values, np.vstack(blocks))
-    # a lone point goes through another BLAS kernel at any row block, so it
-    # agrees only to rounding
-    assert_close(np.vstack([evaluator.eval_batch(z) for z in Z]), polys, Z)
-    monkeypatch.setattr(exact, "_GATHER_BYTES", 16 * _TERM_BLOCK * _ROW_BLOCK)
-    whole = Evaluator(polys)
-    assert whole._rows_per_block() == _ROW_BLOCK
-    assert np.array_equal(values, whole.eval_batch(Z))
+    Z = rng.normal(size=(2 * 256 + 3, 3)) + 1j * rng.normal(size=(2 * 256 + 3, 3))
+    for split in ((), (1, 2)):  # one table of all monomials, and two tables
+        evaluator = forced(polys, split)
+        rows = evaluator._rows_per_block()
+        assert rows == 256  # 100 monomials alone would allow 327 points
+        values = evaluator.eval_batch(Z)
+        blocks = [evaluator.eval_batch(Z[r0 : r0 + rows]) for r0 in range(0, len(Z), rows)]
+        assert np.array_equal(values, np.vstack(blocks))
+        # a lone point goes through another BLAS kernel at any row block, so it
+        # agrees only to rounding
+        assert_close(np.vstack([evaluator.eval_batch(z) for z in Z]), polys, Z)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_GATHER_BYTES", 16 * _TERM_BLOCK * _ROW_BLOCK)
+            whole = forced(polys, split)
+            assert whole._rows_per_block() == _ROW_BLOCK
+            assert np.array_equal(values, whole.eval_batch(Z))
+
+
+def test_cost_model_splits_only_large_evaluators(monkeypatch):
+    # the Hopf check's fused map and partials of pi3_s2:1 and the degree
+    # checks' evaluators make many small calls, where the blocks of a split
+    # cost more calls than they save
+    small = [
+        numeric._MapAndJacobian(catalog("pi3_s2:1")).evaluator,
+        numeric._MapAndJacobian(catalog("pi_n:2,3")).evaluator,
+        catalog("pi_n:2,3").evaluator(),
+        catalog("pi_n:1,5").evaluator(),
+    ]
+    assert [evaluator._layout().groups[1] for evaluator in small] == [()] * 4
+    # the sampled scan of the pi3_s2:7 document: 4,104 monomials in 34 blocks
+    lineage = catalog("pi3_s2:7").components
+    grading = Evaluator(lineage)._layout()
+    assert grading.groups == ((2, 3), (0, 1)) and len(grading.blocks) == 34
+    assert grading.products == len(set().union(*(p.terms for p in lineage)))  # full slices, no padding
+    monkeypatch.setattr(exact, "_DENSE_LIMIT", 0)
+    assert Evaluator(lineage)._layout().groups[1] == ()
+
+
+def test_a_split_fits_the_room_that_the_budget_allows(monkeypatch):
+    # a split whose block of points would not fit is no candidate, so the
+    # choice of a split never refuses a batch that the empty split fits
+    lineage = catalog("pi3_s2:7").components
+    room = Evaluator(lineage).batch_cost()
+    monkeypatch.setattr(exact, "DEFAULT_EXPANSION_BUDGET", room - 1)
+    evaluator = Evaluator(lineage)
+    assert evaluator.batch_cost() < room
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,24 +220,44 @@ def test_fused_map_and_jacobian_equals_separate(data, polys):
             assert abs(together[n, j] - alone[n]) <= 1e-12 * reference_complex(p, Z[n])[1]
 
 
-def formula_costs(polys, rows):
-    """(power_cost, batch_cost(rows)) from the per-variable and total degrees
-    and the number of distinct monomials, which sets the points per block."""
+def formula_costs(polys, rows, split=()):
+    """(power_cost, batch_cost(rows)) on the split with the variables
+    ``split`` in group B, from the per-variable and total degrees, the number
+    of distinct monomials, which sets the points per block, and the
+    projections of the monomials onto each group."""
     tops = [max(col) for col in zip(*(p.per_variable_degrees() for p in polys))]
     dmax = max(0, *(p.degree() for p in polys))
     power = sum(e * (e + 1) // 2 for e in [*tops, dmax])
-    gathered = max(1, min(len(set().union(*(p.terms for p in polys))), _TERM_BLOCK))
+    monos = set().union(*(p.terms for p in polys))
+    gathered = max(1, min(len(monos), _TERM_BLOCK))
     block = _ROW_BLOCK  # halved until one gathered term block of complex values fits
     while 16 * gathered * block > _GATHER_BYTES:
         block //= 2
-    return power, polys[0].nvars * (max(tops, default=0) + 1) * min(rows, block)
+    nvars = polys[0].nvars
+    groups = [[i for i in range(nvars) if i not in split], list(split)]
+    degrees = [[sum(m[i] for i in group) for m in monos] for group in groups]
+    tables = [{tuple(m[i] for i in group) for m in monos} for group in groups]
+    slices = [Counter(map(sum, table)) for table in tables]
+    # a dense block spans the full degree slices of both tables
+    products = sum(slices[0][da] * slices[1][db] for da, db in set(zip(*degrees)))
+    widest = max(slices[1].values(), default=0)
+    # the B table, the A rows of one block and the largest product of a block
+    per_point = nvars * (max(tops, default=0) + 1) + len(tables[1]) + min(_TERM_BLOCK, len(tables[0])) + len(polys) * min(_TERM_BLOCK, widest)
+    return power, per_point * min(rows, block) + len(polys) * products
+
+
+def power_table_price(polys, rows):
+    """The price of the power tables of a block alone."""
+    top = max((max(p.per_variable_degrees(), default=0) for p in polys), default=0)
+    return polys[0].nvars * (top + 1) * min(rows, Evaluator(polys)._rows_per_block())
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys=poly_lists(max_exp=9), rows=st.integers(1, 2 * _ROW_BLOCK))
 def test_prices_read_the_maxima_without_building_tables(polys, rows):
     evaluator = Evaluator(polys)
-    assert (evaluator.power_cost(), evaluator.batch_cost(rows)) == formula_costs(polys, rows)
+    split = evaluator._layout().groups[1]
+    assert (evaluator.power_cost(), evaluator.batch_cost(rows)) == formula_costs(polys, rows, split)
     assert evaluator.batch_cost() == evaluator.batch_cost(_ROW_BLOCK)
     assert evaluator._batch is None  # no float table was built to price it
 
@@ -183,14 +269,22 @@ def test_prices_read_the_maxima_without_building_tables(polys, rows):
     npolys=st.integers(1, 3),
     rows=st.integers(1, 2 * _ROW_BLOCK),
 )
-def test_batch_price_never_exceeds_the_fixed_block_price(seed, nterms, npolys, rows):
-    # every evaluator was once priced by a fixed block of 4096 points; a
-    # price at or below that one refuses no batch that it accepted
+def test_batch_price_is_never_below_the_power_table_price(seed, nterms, npolys, rows):
+    # the power tables are part of every price: the tables, blocks and
+    # products of every split are priced on top of them
     polys = many_term_polys(seed, nterms, npolys)
-    evaluator = Evaluator(polys)
-    top = max((max(p.per_variable_degrees()) for p in polys), default=0)
-    assert evaluator.batch_cost(rows) == formula_costs(polys, rows)[1]
-    assert evaluator.batch_cost(rows) <= 3 * (top + 1) * min(rows, 4096)
+    for split in every_split(3):
+        evaluator = forced(polys, split)
+        assert evaluator.batch_cost(rows) == formula_costs(polys, rows, split)[1]
+        assert evaluator.batch_cost(rows) >= power_table_price(polys, rows)
+
+
+@pytest.mark.parametrize("exponent", [2**62, 2**63 + 5])
+def test_a_degree_beyond_int64_sums_is_refused_before_a_split_is_chosen(exponent):
+    # the degrees of the tables are int64 sums of exponents
+    evaluator = Evaluator([Polynomial(2, {(exponent, 0): 1, (0, 1): 1})])
+    with pytest.raises(OverflowError, match="beyond the batch evaluator"):
+        evaluator.batch_cost()
 
 
 def test_single_terms_over_distinct_large_denominators():

@@ -232,6 +232,37 @@ def test_scan_blends():
         assert quadric_residual_scan(blend, samples=2000, seed=0) < 1e-9
 
 
+class _NaNMap:
+    """A map of even order whose every value is NaN."""
+
+    m, order = 4, 2
+
+    def eval_batch(self, points):
+        return np.full((len(points), 3), np.nan + 0j)
+
+
+def test_scans_keep_a_nan_residual(monkeypatch):
+    # a fold with max() would drop every NaN chunk, and an all-NaN map would read 0 and pass
+    assert math.isnan(quadric_residual_scan(_NaNMap(), samples=5000, seed=0))
+    assert math.isnan(even_order_nullhomotopy_residual(_NaNMap(), samples=50, seed=0))
+    monkeypatch.setattr(numeric, "sample_quadric", lambda m, count, seed: np.full((count, m), np.nan + 0j))
+    assert math.isnan(retraction_homotopy_residual(4, samples=50, seed=0))
+
+
+def test_scan_keeps_one_nan_chunk_among_finite_ones():
+    f, _ = hopf_pair()
+
+    class OneBadChunk:
+        m = f.m
+
+        def eval_batch(self, points):
+            out = f.eval_batch(points)
+            return out if len(points) == numeric._CHUNK else np.full_like(out, np.nan)
+
+    # 5000 samples make two full chunks and a short last one
+    assert math.isnan(quadric_residual_scan(OneBadChunk(), samples=5000, seed=0))
+
+
 # --------------------------------------------------------------- hemisphere
 
 
