@@ -8,13 +8,12 @@ g_coeff satisfying the exact identity
         = t^k * (f_coeff(s, t)^2 + g_coeff(s, t)^2)
 
 together with u_coeff(1, t) > 0 for real t >= 0.  The construction starts
-from a one-variable pair: ``series`` is the degree-(k-1) truncation of the
-binomial series of (1-t)^(-1/2), whose square times (t-1) plus one is
-divisible by t^k; ``cofactor`` is that exact quotient.  Homogenizing both
-and splitting the cofactor as b +- 1/4 yields the triple.
-
-All coefficients of ``series`` are positive, which is the machine-checkable
-witness for the positivity requirement on u_coeff(1, t).
+from a one-variable pair: the degree-(k-1) truncation of the binomial
+series of (1-t)^(-1/2), whose square times (t-1) plus one is divisible by
+t^k, and the exact quotient (the cofactor).  Homogenizing both and
+splitting the cofactor as b +- 1/4 yields the triple, so u_coeff(1, t) is
+the series.  Its k coefficients are all positive: the witness for
+u_coeff(1, t) > 0 that ``verify_triple`` reads from u_coeff itself.
 
 ``verify_triple`` decides the identity at s = 1: once every term of u_coeff
 and of f^2 + g^2 = (f + i*g) * (f - i*g) has degree k-1, both sides are
@@ -36,14 +35,12 @@ class TripleConstructionError(Exception):
 
 @dataclass(frozen=True)
 class SuspensionTriple:
-    """Order-k coefficient triple plus the one-variable seeds it came from."""
+    """Order-k coefficient triple: the forms the suspension multiplies by."""
 
     order: int
     u_coeff: Polynomial   # real, homogeneous of degree k-1 in (s, t)
     f_coeff: Polynomial   # real: homogenized cofactor + 1/4
     g_coeff: Polynomial   # purely imaginary: i * (homogenized cofactor - 1/4)
-    series: Polynomial    # one variable t, degree k-1, all coefficients positive
-    cofactor: Polynomial  # one variable t, degree k-1, value 1 at t=1
 
 
 def inverse_sqrt_series(ell: int) -> Polynomial:
@@ -100,7 +97,7 @@ def suspension_triple(k: int) -> SuspensionTriple:
     quarter = Fraction(1, 4)
     f_coeff = b + Polynomial.constant(2, quarter)
     g_coeff = b.scale(GR_I) - Polynomial.constant(2, GaussianRational(0, quarter))
-    return SuspensionTriple(k, u_coeff, f_coeff, g_coeff, series, cofactor)
+    return SuspensionTriple(k, u_coeff, f_coeff, g_coeff)
 
 
 def verify_triple(triple: SuspensionTriple):
@@ -108,26 +105,22 @@ def verify_triple(triple: SuspensionTriple):
 
     Returns a certificate record (see quadrep.maps.Certificate).  The
     positivity of u_coeff(1, t) on t >= 0 is certified by the sufficient
-    witness that every coefficient of the one-variable series is positive.
+    witness that all k coefficients of u_coeff(1, t) are real and positive,
+    read from the same u that the identity squares.
     """
     from .maps import Certificate
 
     k = triple.order
-    positive = all(
-        c.is_real() and c.re > 0 for c in triple.series.terms.values()
-    ) and len(triple.series.terms) == k
+
+    def failed(witness, **detail):
+        return Certificate(claimed_order=k, method="full-expansion", verdict=False, detail=detail, witness=witness)
+
     ig = triple.g_coeff.scale(GR_I)
     norm = (triple.f_coeff + ig) * (triple.f_coeff - ig)
     for name, form in (("u", triple.u_coeff), ("f^2 + g^2", norm)):
         for (i, j), coeff in form:
             if i + j != k - 1:
-                return Certificate(
-                    claimed_order=k,
-                    method="full-expansion",
-                    verdict=False,
-                    detail={},
-                    witness=f"nonzero term {coeff.canonical_str()} * s^{i} t^{j} of {name} off degree {k - 1}",
-                )
+                return failed(f"nonzero term {coeff.canonical_str()} * s^{i} t^{j} of {name} off degree {k - 1}")
     t = Polynomial.variable(1, 0)
     u1 = Polynomial(1, {(j,): coeff for (_, j), coeff in triple.u_coeff})
     norm1 = Polynomial(1, {(j,): coeff for (_, j), coeff in norm})
@@ -135,28 +128,16 @@ def verify_triple(triple: SuspensionTriple):
     if not diff.is_zero():
         # the lowest power of t is the form's leading term s^(2k-1-e) t^e
         (e,), coeff = diff.sorted_terms()[-1]
-        return Certificate(
-            claimed_order=k,
-            method="full-expansion",
-            verdict=False,
-            detail={"difference_terms": len(diff)},
-            witness=f"nonzero term {coeff.canonical_str()} * s^{2 * k - 1 - e} t^{e}",
-        )
-    if not positive:
-        return Certificate(
-            claimed_order=k,
-            method="full-expansion",
-            verdict=False,
-            detail={},
-            witness="series coefficient positivity witness failed",
-        )
+        return failed(f"nonzero term {coeff.canonical_str()} * s^{2 * k - 1 - e} t^{e}", difference_terms=len(diff))
+    if len(u1) != k or not all(c.is_real() and c.re > 0 for c in u1.terms.values()):
+        return failed("u(1, t) coefficient positivity witness failed")
     return Certificate(
         claimed_order=k,
         method="full-expansion",
         verdict=True,
         detail={
             "identity": "(t-s)*u^2 + s^(2k-1) == t^k*(f^2 + g^2)",
-            "positivity_witness": "all series coefficients positive",
+            "positivity_witness": "all coefficients of u(1, t) positive",
         },
         witness=None,
     )

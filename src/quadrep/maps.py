@@ -142,20 +142,17 @@ class SuspensionNode:
     triple: SuspensionTriple
     ell: int
 
+    def coefficients_at(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c_f, c_g, c_u) at (s, t) = (q(z) + q(u), q(z)) for each row (z, u) of Z."""
+        z = Z[:, : self.f.m]
+        st = np.stack([np.sum(Z * Z, axis=1), np.sum(z * z, axis=1)], axis=1)
+        return tuple(c.eval_batch(st) for c in (self.triple.f_coeff, self.triple.g_coeff, self.triple.u_coeff))
+
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
-        m0 = self.f.m
-        z, u = Z[:, :m0], Z[:, m0:]
-        s = np.sum(Z * Z, axis=1)
-        t = np.sum(z * z, axis=1)
-        st = np.stack([s, t], axis=1)
-        fv = self.f.eval_batch(z)
-        gv = self.g.eval_batch(z)
-        b1 = self.triple.f_coeff.eval_batch(st)
-        b2 = self.triple.g_coeff.eval_batch(st)
-        rr = self.triple.u_coeff.eval_batch(st)
-        head = b1[:, None] * fv + b2[:, None] * gv
-        tail = rr[:, None] * u
-        return np.concatenate([head, tail], axis=1)
+        z, u = Z[:, : self.f.m], Z[:, self.f.m :]
+        b1, b2, rr = self.coefficients_at(Z)
+        head = b1[:, None] * self.f.eval_batch(z) + b2[:, None] * self.g.eval_batch(z)
+        return np.concatenate([head, rr[:, None] * u], axis=1)
 
 
 @dataclass(frozen=True)

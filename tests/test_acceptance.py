@@ -4,12 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 and timings.  Every tolerance is pinned here, not configurable.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
 import pytest
 
-from quadrep.coefficients import SuspensionTriple, suspension_triple, verify_triple
+from quadrep.coefficients import suspension_triple, verify_triple
 from quadrep.exact import GaussianRational, Polynomial
 from quadrep.maps import (
     InfeasibleError,
@@ -64,7 +65,8 @@ def test_criterion_1_triple_exactness():
         assert cert.verdict and cert.method == "full-expansion", f"k={k}"
         b = triple.f_coeff - Polynomial.constant(2, GaussianRational(1, 0).re / 4)
         assert triple.f_coeff.square() + triple.g_coeff.square() == b, f"k={k} split"
-        assert all(c.is_real() and c.re > 0 for c in triple.series.terms.values()), f"k={k} positivity"
+        u1 = triple.u_coeff.terms.values()  # u(1, t) has the same coefficients
+        assert len(u1) == k and all(c.is_real() and c.re > 0 for c in u1), f"k={k} positivity"
     elapsed = time.time() - t0
     _line(
         elapsed < 1.0,
@@ -251,11 +253,8 @@ def test_criterion_8_negative_controls(chain):
             assert cert.witness, f"no witness for {pm.label}[{idx}]"
             corrupted += 1
 
-    triple = phi.node.triple
-    flipped = SuspensionTriple(
-        triple.order, -triple.u_coeff, triple.f_coeff, triple.g_coeff,
-        triple.series, triple.cofactor,
-    )
+    flipped = dataclasses.replace(phi.node.triple, u_coeff=-phi.node.triple.u_coeff)
+    assert not verify_triple(flipped).verdict, "negated u-coefficient must fail its triple certificate"
     negated = PolyMap(phi.m, phi.r, node=SuspensionNode(f, g, flipped, 1), label="neg", order=3)
     hemi = hemisphere_check(negated, samples=500, seed=0)
     assert not hemi.passed, "negated u-coefficient must fail the hemisphere check"
@@ -263,7 +262,8 @@ def test_criterion_8_negative_controls(chain):
     _line(
         True,
         f"criterion 8: {corrupted} single-coefficient corruptions all fail with "
-        f"witnesses; negated suspension coefficient fails hemisphere check "
+        f"witnesses; negated suspension coefficient fails its triple certificate "
+        f"and the hemisphere check "
         f"({elapsed:.1f} s)",
     )
 

@@ -180,6 +180,7 @@ def test_coefficient_beyond_the_float_range_exits_2(tmp_path, capsys, target, ar
     assert err.startswith("quadrep: ") and "float range (magnitude 1.79769e+308)" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sampled_scan_that_overflows_fails_with_a_strict_json_report(tmp_path, capsys):
     # a coefficient of 10**300 is a float, but its square is not
     path = str(tmp_path / "overflow.json")

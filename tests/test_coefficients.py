@@ -160,14 +160,7 @@ def test_identity_evaluation_oracle():
 
 def test_corrupted_triple_fails_with_witness():
     triple = suspension_triple(3)
-    bad = SuspensionTriple(
-        order=triple.order,
-        u_coeff=triple.u_coeff,
-        f_coeff=triple.f_coeff + Polynomial.constant(2, 1),
-        g_coeff=triple.g_coeff,
-        series=triple.series,
-        cofactor=triple.cofactor,
-    )
+    bad = replace(triple, f_coeff=triple.f_coeff + Polynomial.constant(2, 1))
     cert = verify_triple(bad)
     assert not cert.verdict
     assert cert.witness and "nonzero term" in cert.witness
@@ -204,8 +197,8 @@ MUTATIONS = {
     "g": lambda tr, k: replace(tr, g_coeff=tr.g_coeff + mono(k, 0, GaussianRational(0, Fraction(1, 7)))),
     "b": lambda tr, k: with_b(tr, mono(k, 0, Fraction(1, 7))),
     "order": lambda tr, k: replace(tr, order=k + 1),
-    "positivity": lambda tr, k: replace(tr, series=tr.series - 2),
-    "series-length": lambda tr, k: replace(tr, series=tr.series + Polynomial(1, {(k,): 1})),
+    # keeps the identity (u is squared): only the positivity witness refutes it
+    "negated-u": lambda tr, k: replace(tr, u_coeff=-tr.u_coeff),
 }
 
 
@@ -217,10 +210,19 @@ def test_mutated_triple_fails(mutation, k):
     assert cert.method == "full-expansion"
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_negated_u_fails_with_the_positivity_witness(k):
+    triple = suspension_triple(k)
+    cert = verify_triple(replace(triple, u_coeff=-triple.u_coeff))
+    assert not cert.verdict and dict(cert.detail) == {}
+    assert cert.witness == "u(1, t) coefficient positivity witness failed"
+    assert verify_triple(triple).detail["positivity_witness"] == "all coefficients of u(1, t) positive"
+
+
 SYMMETRIES = {
     "negated-g": lambda tr: replace(tr, g_coeff=-tr.g_coeff),
     "swapped-f-g": lambda tr: replace(tr, f_coeff=tr.g_coeff, g_coeff=tr.f_coeff),
-    "negated-u": lambda tr: replace(tr, u_coeff=-tr.u_coeff),
+    "negated-f-and-g": lambda tr: replace(tr, f_coeff=-tr.f_coeff, g_coeff=-tr.g_coeff),
 }
 
 
@@ -285,5 +287,8 @@ def test_pass_implies_oracle_zero(triple):
         assert zero
     homogeneous = all(sum(m) == triple.order - 1 for m in triple.u_coeff.terms)
     if homogeneous:
-        # on forms of degree k-1 the reduced proof is complete as well as sound
-        assert cert.verdict == zero
+        # on forms of degree k-1 the reduced proof is complete as well as sound;
+        # it passes exactly when the identity holds and u(1, t) has k positive coefficients
+        coeffs = triple.u_coeff.terms.values()
+        positive = len(coeffs) == triple.order and all(c.is_real() and c.re > 0 for c in coeffs)
+        assert cert.verdict == (zero and positive)

@@ -280,19 +280,17 @@ def test_suspension_order_law_hopf():
         assert sus.order == 3 and sus.certificate.verdict
 
 
-def test_negated_scale_still_has_order():
-    # replacing the u-coefficient by its negative preserves the order
-    # identity (it is squared); only the hemisphere structure breaks
-    f, g = hopf_pair()
+@pytest.mark.parametrize("pair", [hopf_pair, lambda: circle_pair(1), lambda: circle_pair(-3)], ids=["hopf", "circle-1", "circle--3"])
+def test_negated_scale_fails_its_certificate(pair):
+    # a negated u-coefficient keeps the order identity (u is squared), but
+    # the triple's positivity witness reads the same u and refutes it
+    f, g = pair()
     phi = suspend(f, g, 1)
-    triple = phi.node.triple
-    from quadrep.coefficients import SuspensionTriple
-
-    flipped = SuspensionTriple(
-        triple.order, -triple.u_coeff, triple.f_coeff, triple.g_coeff, triple.series, triple.cofactor
-    )
-    bad = PolyMap(phi.m, phi.r, node=SuspensionNode(f, g, flipped, 1), label="neg-scale", order=3)
-    assert certify_order(bad, 3).verdict
+    flipped = dataclasses.replace(phi.node.triple, u_coeff=-phi.node.triple.u_coeff)
+    bad = PolyMap(phi.m, phi.r, node=SuspensionNode(f, g, flipped, 1), label="neg-scale", order=phi.order)
+    cert = certify_order(bad, phi.order)
+    assert not cert.verdict and cert.detail["failed"] == "coefficient triple"
+    assert cert.witness == "u(1, t) coefficient positivity witness failed"
 
 
 # ------------------------------------------------------------------ catalog

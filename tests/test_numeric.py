@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrep import maps, numeric
-from quadrep.coefficients import SuspensionTriple
 from quadrep.exact import GaussianRational, Polynomial
 from quadrep.maps import (
     PolyMap,
@@ -294,10 +293,7 @@ def test_hemisphere_needs_lineage():
 def test_hemisphere_negated_scale_fails():
     f, g = hopf_pair()
     phi = suspend(f, g, 1)
-    triple = phi.node.triple
-    flipped = SuspensionTriple(
-        triple.order, -triple.u_coeff, triple.f_coeff, triple.g_coeff, triple.series, triple.cofactor
-    )
+    flipped = dataclasses.replace(phi.node.triple, u_coeff=-phi.node.triple.u_coeff)
     bad = PolyMap(phi.m, phi.r, node=SuspensionNode(f, g, flipped, 1), label="neg", order=3)
     res = hemisphere_check(bad, samples=500, seed=0)
     assert not res.passed
