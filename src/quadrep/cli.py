@@ -45,8 +45,6 @@ EXIT_MATH = 3
 _USAGE_ERRORS = (DocumentError, CatalogError, OverflowError, InfeasibleError, DimensionMismatch, PreconditionError)
 
 RESIDUAL_TOL = 1e-9
-DEGREE_DEFECT_TOL = 0.05
-WINDING_DEFECT_TOL = 0.01
 
 
 class _Failure(Exception):
@@ -166,7 +164,7 @@ def _check_degree(pmap: PolyMap, args) -> list[dict]:
                 "verdict": "pass",
                 "value": res.value,
                 "defect": res.defect,
-                "tolerance": WINDING_DEFECT_TOL,
+                "tolerance": numeric.WINDING_DEFECT_TOL,
             }
         ]
     if pmap.m == 3 and pmap.r == 3:
@@ -177,7 +175,7 @@ def _check_degree(pmap: PolyMap, args) -> list[dict]:
                 "verdict": "pass",
                 "value": res.value,
                 "defect": res.defect,
-                "tolerance": DEGREE_DEFECT_TOL,
+                "tolerance": numeric.DEGREE_DEFECT_TOL,
             }
         ]
     raise _Failure(EXIT_USAGE, "degree checks need m = r = 2 (winding) or m = r = 3 (quadrature)")
@@ -193,7 +191,7 @@ def _check_hopf(pmap: PolyMap, args) -> list[dict]:
             "verdict": "pass",
             "value": res.value,
             "defect": res.defect,
-            "tolerance": DEGREE_DEFECT_TOL,
+            "tolerance": numeric.DEGREE_DEFECT_TOL,
             "curves": len(res.curves),
             "nodes": res.nodes,
             "rejected_steps": res.rejected_steps,

@@ -12,9 +12,11 @@ highest, so integer order of keys is the canonical term order, graded
 lexicographic (highest total degree first), and the key of a product of
 monomials is the sum of their keys.  The field width is a pure function of
 the total degree, so equal polynomials have equal keys, and equality and
-hashing compare (nvars, den, keys -> numerators).  Exponent tuples and
-``GaussianRational`` values appear only at the boundary: the read-only
-``terms`` view, ``sorted_terms``, iteration and printing.
+hashing compare (nvars, den, keys -> numerators).  ``_key`` is the one
+encoder of a key and ``_fields`` the one decoder of a list of keys.
+Exponent tuples and ``GaussianRational`` values appear only at the
+boundary: the read-only ``terms`` mapping, ``sorted_terms``, iteration and
+printing.
 """
 
 from __future__ import annotations
@@ -209,16 +211,37 @@ def _key(mono: Monomial, width: int) -> int:
     return key
 
 
-def _monomial(key: int, width: int, nvars: int) -> Monomial:
-    size = width // 8
-    raw = key.to_bytes(size * (nvars + 1), "big")[size:]
-    if size == 1:  # one byte per field: the bytes are the exponents
-        return tuple(raw)
-    return tuple(int.from_bytes(raw[i : i + size], "big") for i in range(0, len(raw), size))
+def _fields(keys, width: int, nvars: int) -> np.ndarray:
+    """The field matrix [len(keys), nvars + 1] of packed keys, in their
+    order: each key's total degree, then its exponents e_0 .. e_{n-1}.  The
+    dtype is ``uint8`` for one-byte fields (total degree below 256), int64
+    for fields of up to 7 bytes and Python ints (object) past that; cast
+    before any shift or sum.
+
+    The keys are read as big-endian 64-bit words, most significant first,
+    each word one C-level pass over the keys, and the bytes of a field are
+    joined one byte column at a time; no object is kept per key."""
+    size, count = width // 8, len(keys)
+    words = -(-size * (nvars + 1) // 8)  # 64-bit words per key
+    table = np.empty((count, words), ">u8")
+    for j in range(words):  # most significant word first
+        shift = 64 * (words - 1 - j)
+        word = map(operator.rshift, keys, repeat(shift)) if shift else keys
+        if j:  # below the most significant word: its low 64 bits
+            word = map(operator.and_, word, repeat(2**64 - 1))
+        table[:, j] = np.fromiter(word, np.uint64, count)
+    raw = table.view(np.uint8)[:, 8 * words - size * (nvars + 1) :]  # the bytes of each key
+    if size == 1:  # one byte per field: the bytes are the fields
+        return raw
+    fields = raw[:, ::size].astype(np.int64 if size < 8 else object)  # each field's first byte
+    for byte in range(1, size):
+        fields = fields * 256 + raw[:, byte::size]
+    return fields
 
 
 def _rekey(terms, old: int, new: int, nvars: int) -> dict:
-    return {_key(_monomial(k, old, nvars), new): v for k, v in terms.items()}
+    monos = _fields(terms, old, nvars)[:, 1:].tolist()
+    return {_key(mono, new): v for mono, v in zip(monos, terms.values())}
 
 
 def _pair(value: GaussianRational) -> tuple[int, int, int]:
@@ -268,8 +291,8 @@ class Polynomial:
     """Sparse multivariate polynomial over the Gaussian rationals.
 
     Immutable; all operations return new instances.  The stored form is the
-    packed one of the module docstring; ``terms`` is a read-only view of it
-    with exponent tuples as keys and ``GaussianRational`` values.
+    packed one of the module docstring; ``terms`` is a read-only mapping of
+    it with exponent tuples as keys and ``GaussianRational`` values.
     """
 
     __slots__ = ("nvars", "_den", "_num", "_degree", "_evaluator")
@@ -370,8 +393,9 @@ class Polynomial:
         own = _width(self._degree)
         return self._num if own == width else _rekey(self._num, own, width, self.nvars)
 
-    def _mono(self, key: int) -> Monomial:
-        return _monomial(key, _width(self._degree), self.nvars)
+    def _monos(self, keys) -> list[Monomial]:
+        """The exponent tuples of packed keys of this polynomial, in order."""
+        return list(map(tuple, _fields(keys, _width(self._degree), self.nvars)[:, 1:].tolist()))
 
     def _coeff(self, pair: tuple[int, int]) -> GaussianRational:
         return GaussianRational._raw(Fraction(pair[0], self._den), Fraction(pair[1], self._den))
@@ -380,8 +404,9 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Monomial, GaussianRational]:
-        """Read-only view: exponent tuple -> nonzero coefficient."""
-        return _Terms(self)
+        """Read-only mapping exponent tuple -> nonzero coefficient, built
+        from ``sorted_terms`` and iterated in canonical order."""
+        return MappingProxyType(dict(self.sorted_terms()))
 
     def is_zero(self) -> bool:
         return not self._num
@@ -398,41 +423,23 @@ class Polynomial:
 
     def per_variable_degrees(self) -> tuple[int, ...]:
         """Max exponent of each variable across all terms (zeros if empty)."""
-        monos = [self._mono(k) for k in self._num]
-        return tuple(map(max, zip(*monos))) if monos else (0,) * self.nvars
+        exponents = _fields(self._num, _width(self._degree), self.nvars)[:, 1:]
+        return tuple(exponents.max(axis=0, initial=0).tolist())
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in canonical order: graded lexicographic, descending."""
-        width, n = _width(self._degree), self.nvars
-        return [(_monomial(k, width, n), self._coeff(pair)) for k, pair in sorted(self._num.items(), reverse=True)]
+        keys = sorted(self._num, reverse=True)
+        return list(zip(self._monos(keys), map(self._coeff, map(self._num.__getitem__, keys))))
 
     def term_table(self) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str]]]:
         """The terms in canonical order as arrays, for writers: the exponent
         matrix [terms, nvars] (``uint8`` for one-byte key fields, total
         degree below 256; int64 for fields of up to 7 bytes; Python ints
         past that), each term's index into the distinct coefficients c, and
-        those as (str(c.re), str(c.im)) in order of first use.
-
-        Up to 7-byte fields the keys are read as big-endian 64-bit words,
-        most significant first, each word one C-level pass over the sorted
-        keys; no object is kept per key."""
-        size, n, den, num = _width(self._degree) // 8, self.nvars, self._den, self._num
+        those as (str(c.re), str(c.im)) in order of first use."""
+        den, num = self._den, self._num
         keys = sorted(num, reverse=True)
-        if size < 8:
-            count = -(-size * (n + 1) // 8)  # 64-bit words per key
-            words = np.empty((len(keys), count), ">u8")
-            for j in range(count):  # most significant word first
-                shift = 64 * (count - 1 - j)
-                word = map(operator.rshift, keys, repeat(shift)) if shift else keys
-                if j:  # below the most significant word: its low 64 bits
-                    word = map(operator.and_, word, repeat(2**64 - 1))
-                words[:, j] = np.fromiter(word, np.uint64, len(keys))
-            fields = words.view(np.uint8)[:, 8 * count - size * (n + 1) :]  # the bytes of each key
-            exponents = fields[:, size::size]  # each exponent's first byte; the total degree field is dropped
-            for byte in range(1, size):
-                exponents = exponents * np.int64(256) + fields[:, size + byte :: size]
-        else:  # an exponent may pass 2^63
-            exponents = np.array([_monomial(k, 8 * size, n) for k in keys], object).reshape(len(keys), n)
+        exponents = _fields(keys, _width(self._degree), self.nvars)[:, 1:]
         values = list(map(num.__getitem__, keys))
         distinct = dict.fromkeys(values)
         position = dict(zip(distinct, range(len(distinct))))
@@ -450,7 +457,7 @@ class Polynomial:
         if not self._num:
             raise ValueError("zero polynomial has no leading term")
         key = max(self._num)
-        return self._mono(key), self._coeff(self._num[key])
+        return self._monos([key])[0], self._coeff(self._num[key])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -557,9 +564,9 @@ class Polynomial:
         # powers[i][e] is args[i]**e, filled upwards by one multiplication each
         powers = [[Polynomial.constant(n2, 1), a] for a in args]
         total = Polynomial.zero(n2)
-        for key, pair in self._num.items():
+        for mono, pair in zip(self._monos(self._num), self._num.values()):
             piece = Polynomial._build(n2, self._den, {0: pair}, _width(0))
-            for i, e in enumerate(self._mono(key)):
+            for i, e in enumerate(mono):
                 if e:
                     row = powers[i]
                     while len(row) <= e:
@@ -637,38 +644,14 @@ class Polynomial:
         return " + ".join(pieces)
 
 
-class _Terms(Mapping):
-    """A polynomial's terms, exponent tuple -> ``GaussianRational``, decoded
-    from the packed form on access and iterated in canonical order; read-only."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: Polynomial):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._num)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return map(self._poly._mono, sorted(self._poly._num, reverse=True))
-
-    def __getitem__(self, mono: Monomial) -> GaussianRational:
-        p = self._poly
-        # exponents that fit the key fields cannot alias another monomial
-        if len(mono) == p.nvars and min(mono, default=0) >= 0 and sum(mono) <= p._degree:
-            pair = p._num.get(_key(mono, _width(p._degree)))
-            if pair is not None:
-                return p._coeff(pair)
-        raise KeyError(mono)
-
-
 # ---------------------------------------------------------------- evaluation
 #
 # Every evaluation in the package reads one decoded form: a list of
 # polynomials in one variable set becomes the union of their monomials, as
-# exponent tuples in canonical order, one common denominator, each
-# polynomial's Gaussian-integer numerators over it by monomial row, and the
-# largest exponent of each variable followed by the largest degree.
+# the ``_fields`` matrix of their keys in canonical order, one common
+# denominator, each polynomial's Gaussian-integer numerators over it by
+# monomial row, and the largest exponent of each variable followed by the
+# largest degree.
 #
 # The batch backend splits the variables into two groups, A and B.  The
 # monomials of a group are the distinct projections of the terms onto its
@@ -807,7 +790,7 @@ def _factors(at: np.ndarray, exps: np.ndarray, r0: int, r1: int) -> list:
     return [at[r0:r1, i] for i in range(at.shape[1]) if exps[r0:r1, i].any()]
 
 
-def _monomials(table: np.ndarray, active: list, rows: int) -> np.ndarray:
+def _row_products(table: np.ndarray, active: list, rows: int) -> np.ndarray:
     """The products of the power-table rows ``active``, one index array per
     variable, or ``rows`` rows of 1 when there is none."""
     if not active:
@@ -842,9 +825,11 @@ class Evaluator:
         self._batch = None
 
     def _decode(self):
-        """(monos, den, rows, maxima): polynomial j is the sum of
-        (re + im*i) * z**monos[t] / den over (t, re, im) in rows[j]; maxima
-        holds the largest exponent of each variable, then the largest degree."""
+        """(fields, den, rows, maxima): polynomial j is the sum of
+        (re + im*i) * z**fields[t, 1:] / den over (t, re, im) in rows[j],
+        where ``fields`` is the ``_fields`` matrix of the union of the
+        monomials in canonical order; maxima holds the largest exponent of
+        each variable, then the largest degree."""
         if self._decoded is None:
             degree = max(p._degree for p in self.polys)
             width = _width(degree)
@@ -856,19 +841,19 @@ class Evaluator:
             for p, num in zip(self.polys, keyed):
                 s = den // p._den
                 rows.append([(row_of[key], re * s, im * s) for key, (re, im) in num.items()])
-            monos = [_monomial(key, width, self.nvars) for key in keys]
-            tops = map(max, zip(*monos)) if monos else [0] * self.nvars
-            self._decoded = (monos, den, rows, (*tops, max(degree, 0)))
+            fields = _fields(keys, width, self.nvars)
+            tops = fields[:, 1:].max(axis=0, initial=0).tolist()
+            self._decoded = (fields, den, rows, (*tops, max(degree, 0)))
         return self._decoded
 
     # --------------------------------------------------------- batch backend
 
     def _exponents(self) -> np.ndarray:
         """The monomials as an (M, nvars) array of exponents."""
-        monos, _, _, maxima = self._decode()
+        fields, _, _, maxima = self._decode()
         if maxima[-1] >= 1 << 62:
             raise OverflowError(f"degree {maxima[-1]} is beyond the batch evaluator")
-        return np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
+        return fields[:, 1:].astype(np.intp, order="C")
 
     def _layout(self) -> _Grading:
         """The grading of the split that the cost model picks, chosen once.
@@ -906,8 +891,8 @@ class Evaluator:
 
     def _batch_tables(self):
         if self._batch is None:
-            monos, den, rows, maxima = self._decode()
-            coeffs = np.zeros((len(monos), len(rows)), dtype=complex)
+            fields, den, rows, maxima = self._decode()
+            coeffs = np.zeros((len(fields), len(rows)), dtype=complex)
             try:
                 for j, row in enumerate(rows):
                     for t, re, im in row:
@@ -991,10 +976,10 @@ class Evaluator:
             for e in range(1, top):
                 np.multiply(powers[:, e - 1], zt, out=powers[:, e])
             table = powers.reshape(-1, n)
-            b_table = _monomials(table, *b_factors) if b_factors else None
+            b_table = _row_products(table, *b_factors) if b_factors else None
             acc = out[:, r0 : r0 + n]
             for active, na, coeffs, over_a, contract, b_rows in blocks:
-                a_rows = _monomials(table, active, na)
+                a_rows = _row_products(table, active, na)
                 part = coeffs @ (a_rows if over_a else b_table[b_rows])
                 if contract:
                     part = part.reshape(npolys, -1, n)
@@ -1008,7 +993,8 @@ class Evaluator:
     def integer_terms(self) -> tuple[int, list[list[tuple[Monomial, int, int]]]]:
         """The polynomials over one denominator, as (den, rows): polynomial j
         is the sum of (re + im*i) * z**mono / den over (mono, re, im) in rows[j]."""
-        monos, den, rows, _ = self._decode()
+        fields, den, rows, _ = self._decode()
+        monos = list(map(tuple, fields[:, 1:].tolist()))
         return den, [[(monos[t], re, im) for t, re, im in row] for row in rows]
 
     def power_cost(self) -> int:
@@ -1023,7 +1009,7 @@ class Evaluator:
         (values, scale): polynomial j takes the value
         (values[j][0] + values[j][1]*i) / scale.
         """
-        monos, den, rows, maxima = self._decode()
+        fields, den, rows, maxima = self._decode()
         powers = []
         for (a, b), top in zip([*coords, (denominator, 0)], maxima):
             re, im = 1, 0
@@ -1034,8 +1020,8 @@ class Evaluator:
             powers.append(row)
         pad, dmax = powers.pop(), maxima[-1]
         vals = []
-        for mono in monos:
-            vr, vi = pad[dmax - sum(mono)]
+        for degree, *mono in fields.tolist():
+            vr, vi = pad[dmax - degree]
             for row, e in zip(powers, mono):
                 if e:
                     qr, qi = row[e]
@@ -1173,9 +1159,9 @@ def _vector_sum(nvars: int, den: int, degree: int, jobs) -> Polynomial:
     width, bits, at = _width(degree), max(degree.bit_length(), 1), np.arange(nvars + 1)
     word, spot, per = (at // (63 // bits)).tolist(), (bits * (at % (63 // bits))).tolist(), 63 // width
 
-    def words(num):
-        fields = np.fromiter(((k >> width * f) & ((1 << width) - 1) for k in num for f in range(nvars + 1)), np.int64)
-        return np.add.reduceat(fields.reshape(len(num), -1) << spot, range(0, nvars + 1, 63 // bits), axis=1)
+    def words(num):  # column f of the fields is the one at bit width * f of the keys
+        fields = _fields(num, width, nvars)[:, ::-1].astype(np.int64)
+        return np.add.reduceat(fields << spot, range(0, nvars + 1, 63 // bits), axis=1)
 
     stack = []
     for a, b, s in jobs:

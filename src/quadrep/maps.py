@@ -142,15 +142,16 @@ class SuspensionNode:
     triple: SuspensionTriple
     ell: int
 
-    def coefficients_at(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c_f, c_g, c_u) at (s, t) = (q(z) + q(u), q(z)) for each row (z, u) of Z."""
+    def coefficient_args(self, Z: np.ndarray) -> np.ndarray:
+        """The arguments (s, t) = (q(z) + q(u), q(z)) of the coefficient
+        forms, one row for each row (z, u) of Z."""
         z = Z[:, : self.f.m]
-        st = np.stack([np.sum(Z * Z, axis=1), np.sum(z * z, axis=1)], axis=1)
-        return tuple(c.eval_batch(st) for c in (self.triple.f_coeff, self.triple.g_coeff, self.triple.u_coeff))
+        return np.stack([np.sum(Z * Z, axis=1), np.sum(z * z, axis=1)], axis=1)
 
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         z, u = Z[:, : self.f.m], Z[:, self.f.m :]
-        b1, b2, rr = self.coefficients_at(Z)
+        st = self.coefficient_args(Z)
+        b1, b2, rr = (c.eval_batch(st) for c in (self.triple.f_coeff, self.triple.g_coeff, self.triple.u_coeff))
         head = b1[:, None] * self.f.eval_batch(z) + b2[:, None] * self.g.eval_batch(z)
         return np.concatenate([head, rr[:, None] * u], axis=1)
 

@@ -31,6 +31,12 @@ class NumericError(Exception):
 _CHUNK = 2048
 # largest deviation of a suspension's tail from c_u(s, t) u that passes
 HEMISPHERE_TOL = 1e-9
+# a point, or a map's small sample, holds the quadric when its residual is below this
+QUADRIC_TOL = 1e-6
+# an accumulated winding number, and a degree quadrature or a linking sum, is
+# read as an integer when its distance from the nearest one is below these
+WINDING_DEFECT_TOL = 0.01
+DEGREE_DEFECT_TOL = 0.05
 # time steps of the retraction homotopy and the contraction loop, ends included
 _HOMOTOPY_STEPS = 11
 
@@ -165,8 +171,8 @@ def tangent_lift(p) -> tuple[np.ndarray, np.ndarray]:
     sphere at v; this is the diffeomorphism between the quadric and TS^(m-1).
     """
     qp = p if isinstance(p, QuadricPoint) else QuadricPoint.of(p)
-    if qp.residual >= 1e-6:
-        raise NumericError(f"point is off the quadric: residual {qp.residual:.3e} >= 1e-06")
+    if qp.residual >= QUADRIC_TOL:
+        raise NumericError(f"point is off the quadric: residual {qp.residual:.3e} >= {QUADRIC_TOL}")
     return _retract(qp.coords)[1], qp.coords.imag.copy()
 
 
@@ -242,7 +248,7 @@ def hemisphere_check(pmap: PolyMap, samples: int = 1000, seed: int = 0) -> Hemis
     X = sample_sphere(pmap.m - 1, samples, seed)
     u = X[:, m0:]
     tail = tails.eval_batch(X.astype(complex))[:, -ell:]
-    scale = node.coefficients_at(X)[2].real
+    scale = node.triple.u_coeff.eval_batch(node.coefficient_args(X)).real
 
     deviation = float(np.abs(tail - scale[:, None] * u).max(initial=0.0))
     min_scale = float(scale.min(initial=np.inf))
@@ -271,8 +277,8 @@ class DegreeResult:
 
 def _require_sphere_map(pmap):
     residual = quadric_residual_scan(pmap, samples=512, seed=0)
-    if residual >= 1e-6:
-        raise NumericError(f"map does not hold the quadric: residual {residual:.3e} >= 1e-06")
+    if residual >= QUADRIC_TOL:
+        raise NumericError(f"map does not hold the quadric: residual {residual:.3e} >= {QUADRIC_TOL}")
 
 
 def winding_degree(pmap) -> DegreeResult:
@@ -294,8 +300,8 @@ def winding_degree(pmap) -> DegreeResult:
     total = float(steps.sum()) / (2 * np.pi)
     value = int(round(total))
     defect = abs(total - value)
-    if defect >= 0.01:
-        raise NumericError(f"winding accumulation defect {defect:.4f} >= 0.01")
+    if defect >= WINDING_DEFECT_TOL:
+        raise NumericError(f"winding accumulation defect {defect:.4f} >= {WINDING_DEFECT_TOL}")
     return DegreeResult(value, defect)
 
 
@@ -355,8 +361,8 @@ def sphere_degree(pmap: PolyMap, grid: tuple[int, int] = (400, 200)) -> DegreeRe
     total = float(integrand.sum()) * cell / (4 * np.pi)
     value = int(round(total))
     defect = abs(total - value)
-    if defect >= 0.05:
-        raise NumericError(f"degree quadrature defect {defect:.4f} >= 0.05; refine the grid")
+    if defect >= DEGREE_DEFECT_TOL:
+        raise NumericError(f"degree quadrature defect {defect:.4f} >= {DEGREE_DEFECT_TOL}; refine the grid")
     return DegreeResult(value, defect)
 
 
@@ -767,8 +773,8 @@ def hopf_invariant(
             total = sum(gauss_linking(pa, pb) for pa in proj_a for pb in proj_b)
             value = int(round(total))
             defect = abs(total - value)
-            if defect >= 0.05:
-                raise NumericError(f"linking defect {defect:.4f} >= 0.05")
+            if defect >= DEGREE_DEFECT_TOL:
+                raise NumericError(f"linking defect {defect:.4f} >= {DEGREE_DEFECT_TOL}")
             result.value, result.defect, result.curves = value, defect, curves_a + curves_b
             result.separation = _separation(
                 np.concatenate([c.points for c in curves_a]), np.concatenate([c.points for c in curves_b])

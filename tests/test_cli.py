@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -68,9 +69,9 @@ def test_verify_sampled_mode(tmp_path, capsys):
 def test_verify_corrupted_document_fails(tmp_path, capsys):
     path = str(tmp_path / "phi.json")
     run(capsys, "generate", "pi_np1:3", "-o", path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["components"][0][0]["re"] = "9999"
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, report, _ = run(capsys, "verify", path, "--mode", "exact")
     assert code == 3
     assert report["checks"][0]["verdict"] == "fail"
@@ -79,7 +80,7 @@ def test_verify_corrupted_document_fails(tmp_path, capsys):
 
 def test_verify_malformed_document(tmp_path, capsys):
     path = str(tmp_path / "bad.json")
-    open(path, "w").write("{not json")
+    Path(path).write_text("{not json")
     code, report, err = run(capsys, "verify", path, "--mode", "exact")
     assert code == 2 and report is None
 
@@ -106,7 +107,7 @@ def test_invariants_hopf_charges_batch_tables_before_it_allocates(tmp_path, caps
     # before any table is built
     path = str(tmp_path / "hopf.json")
     run(capsys, "generate", "pi3_s2:1", "-o", path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["components"][0][0]["exponents"] = [1000000, 0, 0, 0]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -207,7 +208,7 @@ def test_export_byte_identity(tmp_path, capsys):
     run(capsys, "generate", "pi_np2:2", "-o", src)
     code, _, _ = run(capsys, "export", src, "-o", dst)
     assert code == 0
-    assert open(src, "rb").read() == open(dst, "rb").read()
+    assert Path(src).read_bytes() == Path(dst).read_bytes()
 
 
 def test_export_to_stdout_matches_the_file(tmp_path, capsys):
@@ -374,7 +375,7 @@ def test_verify_rejects_inexact_document_fields(tmp_path, capsys, mutate):
 )
 def test_verify_formats_witnesses_past_the_digit_limit(tmp_path, capsys, mode, field, value, start):
     path = _with_order(tmp_path, capsys, "pi_n:1,2", 2)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     if field == "order":
         doc["order"] = value
     else:
@@ -391,7 +392,7 @@ def test_verify_formats_witnesses_past_the_digit_limit(tmp_path, capsys, mode, f
 def _with_order(tmp_path, capsys, target, order):
     path = str(tmp_path / "claim.json")
     run(capsys, "generate", target, "-o", path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["order"] = order
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -423,7 +424,7 @@ def test_verify_refutes_order_above_degree_bound(tmp_path, capsys, mode, order):
 )
 def test_verify_charges_exact_evaluation_before_it_allocates(tmp_path, capsys, mode, exponents, order, code, method):
     path = _with_order(tmp_path, capsys, "pi_n:1,2", order)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     for (comp, term), exps in exponents.items():
         doc["components"][comp][term]["exponents"] = exps
     with open(path, "w", encoding="utf-8") as fh:

@@ -31,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrep.cli import main
-from quadrep.exact import GaussianRational, Polynomial, _fraction_text, _monomial, _width
+from quadrep.exact import GaussianRational, Polynomial, _fraction_text, _width
 from quadrep.maps import PolyMap, catalog
 from quadrep.serialize import (
     FORMAT_VERSION,
@@ -41,6 +41,8 @@ from quadrep.serialize import (
     document_to_map,
     dumps_canonical,
 )
+
+from key_oracle import monomial
 
 # ---------------------------------------------------------- reference builder
 
@@ -171,7 +173,7 @@ def oracle_term_texts(p: Polynomial):
     width, n, den, num = _width(p._degree), p.nvars, p._den, p._num
     for k in sorted(num, reverse=True):
         re, im = num[k]
-        yield _monomial(k, width, n), _fraction_text(re, den), _fraction_text(im, den) if im else "0"
+        yield monomial(k, width, n), _fraction_text(re, den), _fraction_text(im, den) if im else "0"
 
 
 def oracle_component_text(comp: Polynomial, opening: str):

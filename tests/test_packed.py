@@ -4,7 +4,9 @@ The reference kernel below keeps the former representation: a dict from
 exponent tuples to (re, im) pairs of Fractions, multiplied term by term and
 ordered by the graded-lex key (sum(mono), mono).  Every operation of the
 packed form must agree with it exactly, including exponents of a few
-hundred, whose products need wider key fields than their operands.
+hundred, whose products need wider key fields than their operands.  The
+one decoder of packed keys, ``exact._fields``, must agree with the per-key
+oracle in ``key_oracle`` at every field width.
 """
 
 import contextlib
@@ -14,13 +16,16 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrep import exact
 from quadrep.exact import GaussianRational, Polynomial, charged_mul, mul_cost, sum_of_products
 from quadrep.maps import InfeasibleError, _Budget
+
+from key_oracle import monomial
 
 # ------------------------------------------------------------ reference kernel
 
@@ -277,6 +282,58 @@ def test_width_change_keeps_values():
     assert (big + x) - big == x and hash((big + x) - big) == hash(x)
     assert (x**255 * x).degree() == 256
     assert (x**256).derivative(0) == 256 * x**255
+
+
+# ------------------------------------------------------------------- decoder
+
+# field widths of one byte (uint8), two and seven bytes (int64), and eight
+# and nine bytes, whose exponents may pass 2**63 (Python ints)
+_FIELD_DTYPES = {8: np.uint8, 16: np.int64, 56: np.int64, 64: object, 72: object}
+
+
+@st.composite
+def key_lists(draw):
+    """(width, nvars, monomials) whose total degrees fit a field of width bits."""
+    width, nvars = draw(st.sampled_from(sorted(_FIELD_DTYPES))), draw(st.integers(0, 9))
+    top = (2**width - 1) // max(nvars, 1)  # every exponent at most top keeps the degree in a field
+    exponent = st.one_of(st.integers(0, 3), st.integers(top - 3, top), st.integers(0, top))
+    return width, nvars, draw(st.lists(st.tuples(*[exponent] * nvars), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_lists())
+@example((64, 1, [(2**64 - 1,), (2**63,), (0,)]))
+@example((72, 9, [(2**63 + 5, 0, 0, 0, 0, 0, 0, 0, 2**64)]))
+@example((8, 0, [()]))
+@example((56, 3, []))
+def test_field_matrix_matches_the_per_key_oracle(case):
+    width, nvars, monos = case
+    keys = [exact._key(mono, width) for mono in monos]
+    fields = exact._fields(keys, width, nvars)
+    assert fields.shape == (len(keys), nvars + 1) and fields.dtype == _FIELD_DTYPES[width]
+    rows = [tuple(row) for row in fields.tolist()]
+    assert rows == [(sum(mono), *mono) for mono in monos]
+    assert [row[1:] for row in rows] == [monomial(k, width, nvars) for k in keys]
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_sets(1, max_terms=8))
+def test_terms_is_a_read_only_mapping_in_canonical_order(case):
+    nvars, (ta,) = case
+    a = packed(nvars, ta)
+    view = a.terms
+    assert list(view.items()) == a.sorted_terms()  # canonical iteration order
+    assert Polynomial(nvars, dict(view)) == a
+    with pytest.raises(TypeError):
+        view[(0,) * nvars] = GaussianRational(1)
+    with pytest.raises(TypeError):
+        del view[next(iter(view), (0,) * nvars)]
+    # too short, too long, negative, beyond the degree, and the constant term when absent
+    rest = (0,) * (nvars - 1)
+    for mono in [rest, (0, 0, *rest), (-1, *rest), (a.degree() + 1, *rest), (0, *rest)]:
+        if mono not in dict(a.sorted_terms()):
+            with pytest.raises(KeyError):
+                view[mono]
 
 
 # ---------------------------------------------------------------- vector kernel

@@ -317,12 +317,12 @@ def test_write_to_devnull():
 
 def test_write_to_fifo(tmp_path):
     pm = catalog("pi_n:1,2")
-    fifo = str(tmp_path / "pipe")
+    fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     received = []
-    reader = threading.Thread(target=lambda: received.append(open(fifo, "rb").read()), daemon=True)
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    write_document(pm, fifo)
+    write_document(pm, str(fifo))
     reader.join(timeout=10)
     assert received == [canonical_bytes(pm)]
 
