@@ -26,6 +26,7 @@ from .maps import (
     PreconditionError,
     catalog,
     certify_order,
+    rebuild_from_lineage,
 )
 from .numeric import NumericError
 from .serialize import (
@@ -69,31 +70,6 @@ def _emit(report: dict) -> None:
     sys.stdout.write(dumps_canonical(_strict(report)))
 
 
-def _rebuild_from_lineage(pmap: PolyMap) -> PolyMap:
-    """Reconstruct a document's map from its catalog lineage label.
-
-    Labels written by ``generate`` start with the catalog target, e.g.
-    "pi_np2:4 := suspend(...)".  The rebuilt map must match the document
-    term for term; only then do its structure-aware certificates apply to
-    the document.
-    """
-    target = pmap.label.split(" := ", 1)[0].strip()
-    if not target or ":" not in target:
-        raise _Failure(EXIT_USAGE, "document label carries no catalog lineage to rebuild from")
-    try:
-        rebuilt = catalog(target)
-    except MapError as exc:
-        raise _Failure(EXIT_USAGE, f"cannot rebuild lineage {target!r}: {exc}")
-    if rebuilt.components is None:
-        raise _Failure(EXIT_USAGE, f"the rebuild of {target!r} is not materialized at the default budget")
-    if pmap.components != rebuilt.components:
-        raise _Failure(
-            EXIT_MATH,
-            f"document components do not match the map rebuilt from {target!r}",
-        )
-    return rebuilt
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -126,7 +102,7 @@ def _check_order(pmap: PolyMap, args) -> list[dict]:
     except InfeasibleError as exc:
         if args.mode == "grid":
             raise _Failure(EXIT_USAGE, f"{exc}; use --mode exact or --mode sampled")
-        rebuilt = _rebuild_from_lineage(pmap)
+        rebuilt = rebuild_from_lineage(pmap)
         cert = rebuilt.certificate
         if rebuilt.order != pmap.order:
             cert = certify_order(rebuilt, pmap.order, method="expansion")
@@ -207,8 +183,7 @@ def _check_hopf(pmap: PolyMap, args) -> list[dict]:
 
 
 def _check_hemisphere(pmap: PolyMap, args) -> list[dict]:
-    rebuilt = pmap if pmap.node is not None else _rebuild_from_lineage(pmap)
-    res = numeric.hemisphere_check(rebuilt, samples=args.samples, seed=args.seed)
+    res = numeric.hemisphere_check(rebuild_from_lineage(pmap), samples=args.samples, seed=args.seed)
     return [
         {
             "name": "hemisphere-preservation",

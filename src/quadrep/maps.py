@@ -807,23 +807,28 @@ def constant_map(m: int, r: int) -> PolyMap:
 # ----------------------------------------------------------------- catalog
 
 
-def _second_stage_pair(f: PolyMap, g: PolyMap, materialize_budget: int) -> tuple[PolyMap, PolyMap]:
-    """(f1, g1): the Hopf pair (f, g) composed with its one-step suspension;
-    order 6."""
-    phi = suspend(f, g, 1, materialize_budget)
-    f1 = compose_maps(f, phi, materialize_budget)
-    g1 = compose_maps(g, phi, materialize_budget)
-    return f1, g1
+# family -> (its arguments, least n, stem j).  Stem 0, pi_n(S^n), suspends
+# the circle pair and stem j >= 1, pi_(n+j)(S^n), the stem-j pair; pi3_s2 is
+# the one composition.  The table holds no builder: each is called by its
+# module name, so a wrapper set on the module sees every call.
+_FAMILIES = {
+    "pi_n": ("n,d", 1, 0),
+    "pi_np1": ("n", 3, 1),
+    "pi_np2": ("n", 2, 2),
+    "pi_np3": ("n", 2, 3),
+    "pi3_s2": ("d", None, None),
+}
 
 
-def _third_stage_pair(materialize_budget: int) -> tuple[PolyMap, PolyMap]:
-    """(f2, g2): order-22 pair on C^6 driving the 2-torsion chain."""
-    f, g = hopf_pair()
-    f1, g1 = _second_stage_pair(f, g, materialize_budget)
-    big_phi = suspend(f1, g1, 1, materialize_budget)
-    f2 = compose_maps(f, big_phi, materialize_budget)
-    g2 = compose_maps(g, big_phi, materialize_budget)
-    return f2, g2
+def _stem_pair(j: int, materialize_budget: int) -> tuple[PolyMap, PolyMap]:
+    """The b-orthogonal pair of stem j >= 1, C^(j+3) -> C^3: the Hopf pair,
+    then for each later stem the Hopf pair composed with the one-step
+    suspension of the pair below; orders 2, 6, 22, ..."""
+    hopf = pair = hopf_pair()
+    for _ in range(j - 1):
+        phi = suspend(*pair, 1, materialize_budget)
+        pair = tuple(compose_maps(h, phi, materialize_budget) for h in hopf)
+    return pair
 
 
 def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -> PolyMap:
@@ -841,60 +846,53 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
         args = [int(a) for a in argstr.split(",")] if argstr else []
     except ValueError:
         raise CatalogError(f"malformed catalog target {target!r}")
-
-    if name == "pi_n":
-        if len(args) != 2:
-            raise CatalogError("pi_n takes two arguments: pi_n:n,d")
-        n, d = args
-        if n < 1:
-            raise CatalogError("pi_n needs n >= 1")
-        if d == 0:
-            out = constant_map(n + 1, n + 1)
-        else:
-            f, g = circle_pair(d)
-            out = f if n == 1 else suspend(f, g, n - 1, materialize_budget)
-    elif name == "pi_np1":
-        if len(args) != 1:
-            raise CatalogError("pi_np1 takes one argument: pi_np1:n")
-        (n,) = args
-        if n == 2:
-            raise CatalogError("pi_np1:2 is served by pi3_s2 (pi_3(S^2) is infinite cyclic)")
-        if n < 3:
-            raise CatalogError("pi_np1 needs n >= 3")
-        out = suspend(*hopf_pair(), n - 2, materialize_budget)
-    elif name == "pi_np2":
-        if len(args) != 1:
-            raise CatalogError("pi_np2 takes one argument: pi_np2:n")
-        (n,) = args
-        if n < 2:
-            raise CatalogError("pi_np2 needs n >= 2")
-        f1, g1 = _second_stage_pair(*hopf_pair(), materialize_budget)
-        out = f1 if n == 2 else suspend(f1, g1, n - 2, materialize_budget)
-    elif name == "pi3_s2":
-        if len(args) != 1:
-            raise CatalogError("pi3_s2 takes one argument: pi3_s2:d")
-        (d,) = args
-        if d == 0:
-            out = constant_map(4, 3)
-        else:
-            f, _ = hopf_pair()
-            inner = catalog(f"pi_n:3,{d}", materialize_budget)
-            out = compose_maps(f, inner, materialize_budget)
-    elif name == "pi_np3":
-        if len(args) != 1:
-            raise CatalogError("pi_np3 takes one argument: pi_np3:n")
-        (n,) = args
-        if n < 2:
-            raise CatalogError("pi_np3 needs n >= 2")
-        f2, g2 = _third_stage_pair(materialize_budget)
-        out = f2 if n == 2 else suspend(f2, g2, n - 2, materialize_budget)
-    else:
+    if name not in _FAMILIES:
         raise CatalogError(f"unknown catalog target {name!r}")
+    spelling, least, stem = _FAMILIES[name]
+    if len(args) != spelling.count(",") + 1:
+        count = "two arguments" if "," in spelling else "one argument"
+        raise CatalogError(f"{name} takes {count}: {name}:{spelling}")
+    if name == "pi_np1" and args == [2]:
+        raise CatalogError("pi_np1:2 is served by pi3_s2 (pi_3(S^2) is infinite cyclic)")
+    if least is not None and args[0] < least:
+        raise CatalogError(f"{name} needs n >= {least}")
+
+    if spelling.endswith("d") and args[-1] == 0:  # degree d = 0 is the unit class
+        out = constant_map(4, 3) if stem is None else constant_map(args[0] + 1, args[0] + 1)
+    elif stem is None:
+        f, _ = hopf_pair()
+        out = compose_maps(f, catalog(f"pi_n:3,{args[0]}", materialize_budget), materialize_budget)
+    else:
+        # the pair maps onto the quadric of S^(f.r - 1); each new variable
+        # suspends it one sphere higher, up to S^n
+        f, g = circle_pair(args[1]) if stem == 0 else _stem_pair(stem, materialize_budget)
+        ell = args[0] - (f.r - 1)
+        out = f if ell == 0 else suspend(f, g, ell, materialize_budget)
 
     # relabel a copy: the built map may be cited by reference
     out = copy.copy(out)
     object.__setattr__(out, "label", f"{target} := {out.label}")
     return out
+
+
+def rebuild_from_lineage(pmap: PolyMap) -> PolyMap:
+    """The catalog map named by the lineage label ("pi_np2:4 := ...") that
+    ``catalog`` wrote, once it matches ``pmap`` term for term: only then do
+    its structure-aware certificates apply to ``pmap``.  Raises
+    ``CatalogError`` or ``InfeasibleError`` when there is nothing to compare
+    and ``MapError`` on a mismatch."""
+    target = pmap.label.split(" := ", 1)[0].strip()
+    if not target or ":" not in target:
+        raise CatalogError("document label carries no catalog lineage to rebuild from")
+    try:
+        rebuilt = catalog(target)
+    except MapError as exc:
+        raise CatalogError(f"cannot rebuild lineage {target!r}: {exc}") from exc
+    if rebuilt.components is None:
+        raise InfeasibleError(f"the rebuild of {target!r} is not materialized at the default budget")
+    if pmap.components != rebuilt.components:
+        raise MapError(f"document components do not match the map rebuilt from {target!r}")
+    return rebuilt
 
 
 # ---------------------------------------------------------- blend homotopy

@@ -87,10 +87,23 @@ def test_verify_malformed_document(tmp_path, capsys):
 
 def test_invariants_hemisphere_via_lineage(tmp_path, capsys):
     path = str(tmp_path / "phi.json")
-    run(capsys, "generate", "pi_np1:3", "-o", path)
-    code, report, _ = run(capsys, "invariants", path, "--check", "hemisphere", "--samples", "400")
-    assert code == 0
-    assert report["checks"][0]["verdict"] == "pass"
+    for target in ["pi_np1:3", "pi_n:2,3", "pi_np2:3"]:
+        run(capsys, "generate", target, "-o", path)
+        code, report, _ = run(capsys, "invariants", path, "--check", "hemisphere", "--samples", "400")
+        assert code == 0, target
+        assert report["checks"][0]["verdict"] == "pass", target
+
+
+def test_invariants_hemisphere_refuses_a_document_its_lineage_does_not_match(tmp_path, capsys):
+    path = tmp_path / "phi.json"
+    run(capsys, "generate", "pi_np1:3", "-o", str(path))
+    doc = json.loads(path.read_text())
+    term = _first_term(doc)
+    term["re"] = str(int(term["re"]) + 1)  # the label still names pi_np1:3
+    path.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "invariants", str(path), "--check", "hemisphere")
+    assert code == 3 and report is None
+    assert err == "quadrep: document components do not match the map rebuilt from 'pi_np1:3'\n"
 
 
 def test_invariants_hopf(tmp_path, capsys):

@@ -326,9 +326,44 @@ def test_catalog_pi_n_orders_odd():
 
 
 def test_catalog_rejects_bad_targets():
-    for bad in ["pi_np1:2", "pi_np1:1", "pi_np2:1", "pi_n:0,1", "pi_np3:1", "nope:3", "pi_n:x,y"]:
-        with pytest.raises(CatalogError):
+    texts = {
+        "pi_np1:2": "pi_np1:2 is served by pi3_s2 (pi_3(S^2) is infinite cyclic)",
+        "pi_np1:1": "pi_np1 needs n >= 3",
+        "pi_np2:1": "pi_np2 needs n >= 2",
+        "pi_n:0,1": "pi_n needs n >= 1",
+        "pi_np3:1": "pi_np3 needs n >= 2",
+        "nope:3": "unknown catalog target 'nope'",
+        "pi_n:x,y": "malformed catalog target 'pi_n:x,y'",
+        "pi_n:1": "pi_n takes two arguments: pi_n:n,d",
+        "pi_np1:3,4": "pi_np1 takes one argument: pi_np1:n",
+        "pi3_s2:1,2": "pi3_s2 takes one argument: pi3_s2:d",
+        "pi_np2": "pi_np2 takes one argument: pi_np2:n",
+        "": "unknown catalog target ''",
+    }
+    for bad, text in texts.items():
+        with pytest.raises(CatalogError) as err:
             catalog(bad)
+        assert str(err.value) == text, bad
+
+
+HOPF_PHI = "suspend(hopf.f,hopf.g,1)"
+STEM_2 = f"compose(hopf.f,{HOPF_PHI}),compose(hopf.g,{HOPF_PHI})"
+
+
+@pytest.mark.parametrize(
+    "target, label, shape",
+    [
+        ("pi_n:2,3", "suspend(circle(3).f,circle(3).g,1)", (3, 3, 5)),
+        ("pi_np1:3", HOPF_PHI, (5, 4, 3)),
+        ("pi_np2:3", f"suspend({STEM_2},1)", (6, 4, 11)),
+        ("pi3_s2:2", "compose(hopf.f,pi_n:3,2 := suspend(circle(2).f,circle(2).g,2))", (4, 3, 6)),
+        ("pi_np3:3", f"suspend(compose(hopf.f,suspend({STEM_2},1)),compose(hopf.g,suspend({STEM_2},1)),1)", (7, 4, 43)),
+    ],
+)
+def test_catalog_lineage_labels(target, label, shape):
+    pm = catalog(target)
+    assert pm.label == f"{target} := {label}"
+    assert (pm.m, pm.r, pm.order) == shape
 
 
 def test_catalog_torsion_chain_structural():
@@ -338,10 +373,27 @@ def test_catalog_torsion_chain_structural():
     assert certify_order(f2, 22).verdict
     assert not certify_order(f2, 21).verdict
     g2_pairing_zero = True  # orthogonality via the shared inner map
-    from quadrep.maps import _third_stage_pair
+    from quadrep.maps import _stem_pair
 
-    f2b, g2b = _third_stage_pair(10_000_000)
+    f2b, g2b = _stem_pair(3, 10_000_000)
     assert bilinear_pairing(f2b, g2b).is_zero() is g2_pairing_zero
+
+
+@pytest.mark.parametrize("j, order", [(1, 2), (2, 6), (3, 22)])
+def test_stem_pairs_map_onto_the_two_sphere_quadric(j, order):
+    f, g = maps._stem_pair(j, maps.DEFAULT_MATERIALIZE_BUDGET)
+    assert (f.m, f.r, f.order) == (g.m, g.r, g.order) == (j + 3, 3, order)
+    assert f.certificate.verdict and g.certificate.verdict
+    assert bilinear_pairing(f, g).is_zero()
+
+
+def test_materialize_budget_reaches_every_stem_builder():
+    built = catalog("pi_np2:3", 0)
+    assert built.label == catalog("pi_np2:3").label
+    stages = [x for x in lineage(built) if x.node is not None]
+    assert {type(x.node) for x in stages} == {SuspensionNode, CompositionNode}
+    assert all(x.components is None for x in stages)
+    assert built.certificate.method == "factored-expansion" and built.certificate.verdict
 
 
 def test_catalog_deep_suspension():
