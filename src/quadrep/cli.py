@@ -45,8 +45,6 @@ EXIT_MATH = 3
 # shape or construction.  Every other NumericError or MapError exits 3.
 _USAGE_ERRORS = (DocumentError, CatalogError, OverflowError, InfeasibleError, DimensionMismatch, PreconditionError)
 
-RESIDUAL_TOL = 1e-9
-
 
 class _Failure(Exception):
     def __init__(self, code: int, message: str):
@@ -118,110 +116,60 @@ def _check_order(pmap: PolyMap, args) -> list[dict]:
     ]
 
 
+def _entry(name: str, passed: bool, tolerance: float, **margins) -> dict:
+    """The report entry of one numeric check: its name, verdict and
+    tolerance, and the margins that show how far it was from failing."""
+    return {"name": name, "verdict": "pass" if passed else "fail", "tolerance": tolerance, **margins}
+
+
 def _check_residual(pmap: PolyMap, args) -> list[dict]:
     residual = numeric.quadric_residual_scan(pmap, samples=args.samples, seed=args.seed)
-    return [
-        {
-            "name": "quadric-residual-scan",
-            "verdict": "pass" if residual < RESIDUAL_TOL else "fail",
-            "value": residual,
-            "tolerance": RESIDUAL_TOL,
-            "samples": args.samples,
-        }
-    ]
+    tol = numeric.RESIDUAL_TOL
+    return [_entry("quadric-residual-scan", residual < tol, tol, value=residual, samples=args.samples)]
 
 
 def _check_degree(pmap: PolyMap, args) -> list[dict]:
     if pmap.m == 2 and pmap.r == 2:
-        res = numeric.winding_degree(pmap)
-        return [
-            {
-                "name": "winding-degree",
-                "verdict": "pass",
-                "value": res.value,
-                "defect": res.defect,
-                "tolerance": numeric.WINDING_DEFECT_TOL,
-            }
-        ]
-    if pmap.m == 3 and pmap.r == 3:
-        res = numeric.sphere_degree(pmap, grid=args.grid)
-        return [
-            {
-                "name": "sphere-degree",
-                "verdict": "pass",
-                "value": res.value,
-                "defect": res.defect,
-                "tolerance": numeric.DEGREE_DEFECT_TOL,
-            }
-        ]
-    raise _Failure(EXIT_USAGE, "degree checks need m = r = 2 (winding) or m = r = 3 (quadrature)")
+        name, res, tol = "winding-degree", numeric.winding_degree(pmap), numeric.WINDING_DEFECT_TOL
+    elif pmap.m == 3 and pmap.r == 3:
+        name, res, tol = "sphere-degree", numeric.sphere_degree(pmap, grid=args.grid), numeric.DEGREE_DEFECT_TOL
+    else:
+        raise _Failure(EXIT_USAGE, "degree checks need m = r = 2 (winding) or m = r = 3 (quadrature)")
+    return [_entry(name, True, tol, value=res.value, defect=res.defect)]
+
+
+# the fields of numeric.HopfResult and numeric.HemisphereResult that their entries report
+_HOPF_MARGINS = (
+    "value", "defect", "nodes", "rejected_steps", "newton_iterations", "overflow_seeds",
+    "rank_drop_seeds", "retries", "min_singular_values", "closure_gaps", "separation",
+)
+_HEMISPHERE_MARGINS = ("max_tail_deviation", "min_u_scale", "equator_max", "sign_violations")
 
 
 def _check_hopf(pmap: PolyMap, args) -> list[dict]:
-    if pmap.m != 4 or pmap.r != 3:
-        raise _Failure(EXIT_USAGE, "the hopf check needs a map with m = 4, r = 3")
     res = numeric.hopf_invariant(pmap, seed=args.seed)
-    return [
-        {
-            "name": "hopf-invariant",
-            "verdict": "pass",
-            "value": res.value,
-            "defect": res.defect,
-            "tolerance": numeric.DEGREE_DEFECT_TOL,
-            "curves": len(res.curves),
-            "nodes": res.nodes,
-            "rejected_steps": res.rejected_steps,
-            "newton_iterations": res.newton_iterations,
-            "overflow_seeds": res.overflow_seeds,
-            "rank_drop_seeds": res.rank_drop_seeds,
-            "retries": res.retries,
-            "min_singular_values": res.min_singular_values,
-            "closure_gaps": res.closure_gaps,
-            "separation": res.separation,
-        }
-    ]
+    margins = {name: getattr(res, name) for name in _HOPF_MARGINS}
+    return [_entry("hopf-invariant", True, numeric.DEGREE_DEFECT_TOL, curves=len(res.curves), **margins)]
 
 
 def _check_hemisphere(pmap: PolyMap, args) -> list[dict]:
     res = numeric.hemisphere_check(rebuild_from_lineage(pmap), samples=args.samples, seed=args.seed)
-    return [
-        {
-            "name": "hemisphere-preservation",
-            "verdict": "pass" if res.passed else "fail",
-            "max_tail_deviation": res.max_tail_deviation,
-            "min_u_scale": res.min_u_scale,
-            "equator_max": res.equator_max,
-            "sign_violations": res.sign_violations,
-            "tolerance": numeric.HEMISPHERE_TOL,
-            "note": (
-                "certifies equator/hemisphere sign preservation, the hypothesis of "
-                "the suspension argument, not the homotopy-class conclusion itself"
-            ),
-        }
-    ]
+    margins = {name: getattr(res, name) for name in _HEMISPHERE_MARGINS}
+    note = (
+        "certifies equator/hemisphere sign preservation, the hypothesis of "
+        "the suspension argument, not the homotopy-class conclusion itself"
+    )
+    return [_entry("hemisphere-preservation", res.passed, numeric.HEMISPHERE_TOL, note=note, **margins)]
 
 
 def _check_homotopies(pmap: PolyMap, args) -> list[dict]:
-    out = []
-    retr = numeric.retraction_homotopy_residual(pmap.m, samples=max(args.samples // 10, 20), seed=args.seed)
-    out.append(
-        {
-            "name": "retraction-homotopy-residual",
-            "verdict": "pass" if retr < RESIDUAL_TOL else "fail",
-            "value": retr,
-            "tolerance": RESIDUAL_TOL,
-        }
-    )
+    homotopies = [("retraction-homotopy-residual", numeric.retraction_homotopy_residual, pmap.m)]
     if pmap.order is not None and pmap.order % 2 == 0 and pmap.order > 0:
-        loop = numeric.even_order_nullhomotopy_residual(pmap, samples=max(args.samples // 10, 20), seed=args.seed)
-        out.append(
-            {
-                "name": "even-order-contraction-residual",
-                "verdict": "pass" if loop < RESIDUAL_TOL else "fail",
-                "value": loop,
-                "tolerance": RESIDUAL_TOL,
-            }
-        )
+        homotopies.append(("even-order-contraction-residual", numeric.even_order_nullhomotopy_residual, pmap))
+    out, tol = [], numeric.RESIDUAL_TOL
+    for name, residual_of, arg in homotopies:
+        residual = residual_of(arg, samples=max(args.samples // 10, 20), seed=args.seed)
+        out.append(_entry(name, residual < tol, tol, value=residual))
     return out
 
 

@@ -552,9 +552,17 @@ def _grid_misses(rows: list, k: int, den: int, dims: list[int], sides: list[int]
     return miss
 
 
+# numpy arrays hold at most 64 axes (32 before numpy 2), and the grid's
+# coefficient arrays take one axis per variable plus one for the real and
+# imaginary parts
+_GRID_VARIABLES = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) - 1
+
+
 def _grid_cert(pmap: PolyMap, k: int, grid_budget: int, expansion_budget: int) -> Certificate:
     if pmap.components is None:
         raise InfeasibleError("grid zero test needs materialized components")
+    if pmap.m > _GRID_VARIABLES:
+        raise InfeasibleError(f"grid zero test holds at most {_GRID_VARIABLES} variables in one array, got {pmap.m}")
     bounds = pmap.per_variable_bounds()
     diff_bounds = [max(2 * b, 2 * k) for b in bounds]
     npoints = math.prod(b + 1 for b in diff_bounds)
@@ -613,13 +621,19 @@ def certify_order(
     maps and wrong claimed orders long before any expensive proof work.  A
     map with a structure node and components too large to square skips the
     scan, and a map without components skips both: its construction rule
-    decides the claim.  The map is not modified.
+    decides the claim.  Before all of this the domain is priced: q's m * m
+    exponent entries beyond ``expansion_budget`` raise InfeasibleError.
+    The map is not modified.
     """
     _require_int(k, "the claimed order")
     if k < 0:
         raise ValueError("claimed order must be nonnegative")
     if method not in ("auto", "expansion", "grid"):
         raise ValueError(f"unknown certification method {method!r}")
+    # every route forms exact points or exponent vectors of m coordinates,
+    # and q's m exponent vectors of m entries are the least of them
+    entries = pmap.m * pmap.m
+    check_room(entries, f"the {entries} exponent entries of q in {pmap.m} variables", expansion_budget)
     refuted = _refute(pmap, k, expansion_budget)
     if refuted is not None:
         return refuted

@@ -33,6 +33,8 @@ _CHUNK = 2048
 HEMISPHERE_TOL = 1e-9
 # a point, or a map's small sample, holds the quadric when its residual is below this
 QUADRIC_TOL = 1e-6
+# a residual scan, and the residual of each homotopy, passes below this
+RESIDUAL_TOL = 1e-9
 # an accumulated winding number, and a degree quadrature or a linking sum, is
 # read as an integer when its distance from the nearest one is below these
 WINDING_DEFECT_TOL = 0.01

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -624,3 +625,186 @@ def test_point_counts_beyond_the_budget_exit_2_before_any_array(tmp_path, capsys
     code, report, err = run(capsys, argv[0], path, *argv[1:])
     assert code == 2 and report is None and "Traceback" not in err
     assert err.startswith("quadrep: ") and "exceed the expansion budget 5000000" in err
+
+
+_ORDER_KEYS = {"name", "verdict", "method", "witness", "note"}
+_RESIDUAL_KEYS = {"name", "verdict", "tolerance", "value"}
+_DEGREE_KEYS = {"name", "verdict", "tolerance", "value", "defect"}
+_HOPF_KEYS = _DEGREE_KEYS | {
+    "curves",
+    "nodes",
+    "rejected_steps",
+    "newton_iterations",
+    "overflow_seeds",
+    "rank_drop_seeds",
+    "retries",
+    "min_singular_values",
+    "closure_gaps",
+    "separation",
+}
+_HEMISPHERE_KEYS = {
+    "name",
+    "verdict",
+    "tolerance",
+    "max_tail_deviation",
+    "min_u_scale",
+    "equator_max",
+    "sign_violations",
+    "note",
+}
+
+
+def _bump_first_coefficient(path: str, delta: Fraction) -> None:
+    doc = json.loads(Path(path).read_text())
+    term = _first_term(doc)
+    term["re"] = str(Fraction(term["re"]) + delta)
+    Path(path).write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "target, argv, bump, code, entries",
+    [
+        ("pi_n:4,2", ["verify", "--mode", "exact"], 0, 0, [("order-3", "pass", None, _ORDER_KEYS)]),
+        ("pi_n:4,2", ["verify", "--mode", "grid"], 0, 0, [("order-3", "pass", None, _ORDER_KEYS)]),
+        ("pi_n:4,2", ["verify", "--mode", "exact"], 1, 3, [("order-3", "fail", None, _ORDER_KEYS)]),
+        (
+            "pi_n:4,2",
+            ["verify", "--mode", "sampled"],
+            0,
+            0,
+            [("quadric-residual-scan", "pass", 1e-9, _RESIDUAL_KEYS | {"samples"})],
+        ),
+        ("pi_n:1,5", ["invariants", "--check", "degree"], 0, 0, [("winding-degree", "pass", 0.01, _DEGREE_KEYS)]),
+        ("pi_n:2,3", ["invariants", "--check", "degree"], 0, 0, [("sphere-degree", "pass", 0.05, _DEGREE_KEYS)]),
+        ("pi3_s2:1", ["invariants", "--check", "hopf"], 0, 0, [("hopf-invariant", "pass", 0.05, _HOPF_KEYS)]),
+        (
+            "pi_np1:4",
+            ["invariants", "--check", "hemisphere"],
+            0,
+            0,
+            [("hemisphere-preservation", "pass", 1e-9, _HEMISPHERE_KEYS)],
+        ),
+        (
+            "pi3_s2:1",
+            ["invariants", "--check", "homotopies"],
+            0,
+            0,
+            [
+                ("retraction-homotopy-residual", "pass", 1e-9, _RESIDUAL_KEYS),
+                ("even-order-contraction-residual", "pass", 1e-9, _RESIDUAL_KEYS),
+            ],
+        ),
+        (
+            "pi_np1:3",
+            ["invariants", "--check", "homotopies"],
+            0,
+            0,
+            [("retraction-homotopy-residual", "pass", 1e-9, _RESIDUAL_KEYS)],
+        ),
+    ],
+    ids=[
+        "exact",
+        "grid",
+        "exact-corrupted",
+        "sampled",
+        "winding-degree",
+        "sphere-degree",
+        "hopf",
+        "hemisphere",
+        "homotopies-even",
+        "homotopies-odd",
+    ],
+)
+def test_report_schema_pins_every_check_entry(tmp_path, capsys, target, argv, bump, code, entries):
+    path = str(tmp_path / "doc.json")
+    run(capsys, "generate", target, "-o", path)
+    if bump:
+        _bump_first_coefficient(path, Fraction(bump))
+    got, report, err = run(capsys, argv[0], path, *argv[1:])
+    assert got == code and err == ""
+    assert set(report) == {"command", "input", argv[1].lstrip("-"), "seed", "checks", "wall_time_s"}
+    assert len(report["checks"]) == len(entries)
+    for check, (name, verdict, tolerance, keys) in zip(report["checks"], entries):
+        assert set(check) == keys, name
+        assert (check["name"], check["verdict"], check.get("tolerance")) == (name, verdict, tolerance)
+
+
+def test_degree_check_of_a_map_off_the_quadric_exits_3(tmp_path, capsys):
+    path = str(tmp_path / "d3.json")
+    run(capsys, "generate", "pi_n:2,3", "-o", path)
+    _bump_first_coefficient(path, Fraction(1, 2))
+    code, report, err = run(capsys, "invariants", path, "--check", "degree")
+    assert code == 3 and report is None
+    assert err == "quadrep: map does not hold the quadric: residual 1.794e+00 >= 1e-06\n"
+
+
+def test_verify_without_an_order_claim_exits_2(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    run(capsys, "generate", "pi_n:4,2", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["order"] = None
+    path.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "verify", str(path), "--mode", "exact")
+    assert code == 2 and report is None
+    assert err == "quadrep: document carries no order claim to verify\n"
+
+
+def _write_map(path, m: int, components: list, order: int) -> str:
+    doc = {
+        "format_version": 1,
+        "label": "",
+        "domain_dim": m,
+        "codomain_dim": len(components),
+        "order": order,
+        "components": components,
+        "certificates": [],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _constant_map(path, m: int) -> str:
+    """The constant map 1 on m variables into the m-variable quadric: order 0."""
+    one = [{"exponents": [0] * m, "re": "1", "im": "0"}]
+    return _write_map(path, m, [one] + [[]] * (m - 1), order=0)
+
+
+def test_grid_route_refuses_more_variables_than_an_array_holds(tmp_path, capsys):
+    path = _constant_map(tmp_path / "c64.json", 64)
+    code, report, err = run(capsys, "verify", path, "--mode", "grid")
+    assert code == 2 and report is None and "Traceback" not in err
+    assert err.startswith("quadrep: grid zero test holds at most 63 variables")
+    code, report, _ = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 0 and report["checks"][0]["verdict"] == "pass"
+    code, report, _ = run(capsys, "verify", _constant_map(tmp_path / "c63.json", 63), "--mode", "grid")
+    assert code == 0 and report["checks"][0]["method"] == "exact-evaluation"
+
+
+def _unreached(*args):
+    raise AssertionError("the refutation scan ran before the domain was priced")
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("exact", "document label carries no catalog lineage to rebuild from"),
+        ("grid", "the 40000000000 exponent entries of q in 200000 variables exceed the expansion budget 5000000"),
+    ],
+)
+def test_verify_prices_the_domain_before_any_proof_route(tmp_path, capsys, monkeypatch, mode, message):
+    # q in 200,000 variables has 4 * 10**10 exponent entries: refused before
+    # the refutation scan forms a point; --mode exact then finds no lineage
+    path = _write_map(tmp_path / "wide.json", 200_000, [[]], order=0)
+    monkeypatch.setattr(maps, "_refute", _unreached)
+    start = time.perf_counter()
+    code, report, err = run(capsys, "verify", path, "--mode", mode)
+    assert code == 2 and report is None
+    assert err.startswith(f"quadrep: {message}")
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_prices_the_domain_at_the_budget_edge(tmp_path, capsys):
+    # 2236**2 = 4,999,696 entries fit the budget of 5,000,000: the zero map is refuted
+    path = _write_map(tmp_path / "edge.json", 2236, [[]], order=0)
+    code, report, _ = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 3 and report["checks"][0]["verdict"] == "fail"

@@ -9,7 +9,7 @@ import pytest
 
 from quadrep import maps
 from quadrep.coefficients import suspension_triple
-from quadrep.exact import GaussianRational, Polynomial
+from quadrep.exact import GaussianRational, Polynomial, sum_of_products
 from quadrep.maps import (
     CatalogError,
     Certificate,
@@ -874,3 +874,14 @@ def test_polymap_refuses_an_order_a_document_cannot_spell(order, error):
 def test_counts_are_refused_at_entry_unless_ints(build, what):
     with pytest.raises(TypeError, match=f"^{what} is"):
         build()
+
+
+def test_pairing_of_compositions_through_one_inner_map_composes_the_outer_pairing():
+    # q(f) = q^2 is a nonzero outer pairing, so the shared inner map is substituted into it
+    f, g = hopf_pair()
+    phi = suspend(f, g, 1)
+    a, b = compose_maps(f, phi), compose_maps(f, phi)
+    assert a.node.inner is b.node.inner
+    pairing = bilinear_pairing(a, b)
+    assert pairing == sum_of_products(list(zip(a.components, b.components)))
+    assert len(pairing) == 210

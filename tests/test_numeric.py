@@ -517,6 +517,13 @@ def test_hopf_invariant_of_hopf_map():
         assert gaps.max() < 1e-3
 
 
+def test_a_first_step_too_long_for_the_corrector_is_halved(monkeypatch):
+    monkeypatch.setattr(numeric, "_STEP_FIRST", 0.3)
+    res = hopf_invariant(catalog("pi3_s2:1"), seed=0)
+    assert res.rejected_steps >= 1
+    assert res.value == -1
+
+
 @pytest.mark.parametrize("d", [-3, -2, 2, 3])
 def test_chord_midpoints_lie_on_the_traced_curves(d):
     pmap = catalog(f"pi3_s2:{d}")
