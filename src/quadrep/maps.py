@@ -382,8 +382,8 @@ def _form_power_cost(m: int, k: int) -> int:
 
 
 def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
-    """Certificate by exact expansion, factoring through the structure node
-    when squaring the components or forming q^k would outgrow the budget."""
+    """Certificate by exact expansion, factoring through the map's lineage
+    node when squaring the components or forming q^k would outgrow the budget."""
     if pmap.components is not None:
         cost = _squaring_cost(pmap)
         # q^k must fit too; it is not charged, so certificates keep their expanded_products
@@ -397,13 +397,12 @@ def _expansion_cert(pmap: PolyMap, k: int, budget: _Budget) -> Certificate:
             mono, coeff = diff.leading_term()
             witness = f"nonzero difference term {coeff.canonical_str()} * {mono}"
             return Certificate(k, "full-expansion", False, {"difference_terms": len(diff)}, witness)
-    if isinstance(pmap.node, SuspensionNode):
-        return _suspension_cert(pmap.node, k, budget)
-    if isinstance(pmap.node, CompositionNode):
-        return _composition_cert(pmap.node, k, budget)
-    raise InfeasibleError(
-        "q(f) - q^k too large for direct expansion and no structure node to factor through"
-    )
+    node = lineage_node(pmap)
+    if isinstance(node, SuspensionNode):
+        return _suspension_cert(node, k, budget)
+    if isinstance(node, CompositionNode):
+        return _composition_cert(node, k, budget)
+    raise InfeasibleError("q(f) - q^k too large for direct expansion and no structure node to factor through")
 
 
 def _child_cert(child: PolyMap, k: int, budget: _Budget) -> Certificate:
@@ -889,15 +888,17 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
     return out
 
 
-def rebuild_from_lineage(pmap: PolyMap) -> PolyMap:
-    """The catalog map named by the lineage label ("pi_np2:4 := ...") that
-    ``catalog`` wrote, once it matches ``pmap`` term for term: only then do
-    its structure-aware certificates apply to ``pmap``.  Raises
-    ``CatalogError`` or ``InfeasibleError`` when there is nothing to compare
-    and ``MapError`` on a mismatch."""
+def lineage_node(pmap: PolyMap) -> Optional[SuspensionNode | CompositionNode]:
+    """The structure node that proves ``pmap``: its own, or for a map without
+    one the node of the catalog map its lineage label ("pi_np2:4 := ...",
+    as ``catalog`` writes it) names, once that map matches ``pmap`` term for
+    term; else None.  Raises ``CatalogError`` or ``InfeasibleError`` when
+    there is nothing to compare and ``MapError`` on a mismatch."""
+    if pmap.node is not None:
+        return pmap.node
     target = pmap.label.split(" := ", 1)[0].strip()
-    if not target or ":" not in target:
-        raise CatalogError("document label carries no catalog lineage to rebuild from")
+    if ":" not in target:
+        return None
     try:
         rebuilt = catalog(target)
     except MapError as exc:
@@ -906,7 +907,7 @@ def rebuild_from_lineage(pmap: PolyMap) -> PolyMap:
         raise InfeasibleError(f"the rebuild of {target!r} is not materialized at the default budget")
     if pmap.components != rebuilt.components:
         raise MapError(f"document components do not match the map rebuilt from {target!r}")
-    return rebuilt
+    return rebuilt.node
 
 
 # ---------------------------------------------------------- blend homotopy

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact import Evaluator
-from .maps import DimensionMismatch, PolyMap, PreconditionError, SuspensionNode, check_room
+from .maps import DimensionMismatch, PolyMap, PreconditionError, SuspensionNode, check_room, lineage_node
 
 
 class NumericError(Exception):
@@ -239,9 +239,9 @@ def hemisphere_check(pmap: PolyMap, samples: int = 1000, seed: int = 0) -> Hemis
     has them, so the stored tail is what meets the structure; a map known
     only by its node is read through the node formula.
     """
-    if not isinstance(pmap.node, SuspensionNode):
+    node = lineage_node(pmap)
+    if not isinstance(node, SuspensionNode):
         raise PreconditionError("hemisphere check needs a map built by suspend (lineage missing)")
-    node = pmap.node
     ell = node.ell
     m0 = node.f.m
     # the stored tail: the last ell components, or the node formula without them

@@ -196,12 +196,16 @@ def write_document(pmap: PolyMap, path: str):
         raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def read_document(path: str) -> PolyMap:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_refuse_constant)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bad UTF-8 and over-long integers
+        # ValueError covers bad JSON (NaN and Infinity too), bad UTF-8 and over-long integers
         raise DocumentError(f"cannot read map document {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("map document must be a JSON object")

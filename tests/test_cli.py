@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, report shape, determinism."""
 
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ from quadrep.cli import main
 from quadrep.exact import Polynomial
 from quadrep.maps import PolyMap, hopf_pair
 from quadrep.numeric import NumericError
-from quadrep.serialize import DocumentError, map_to_document
+from quadrep.serialize import DocumentError, map_to_document, read_document
 
 
 def run(capsys, *argv):
@@ -330,7 +331,7 @@ def test_verify_unaffordable_order_claim_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path), "--mode", "exact")
     assert code == 2
     assert time.perf_counter() - start < 5
-    assert err.startswith("quadrep: ")
+    assert err == "quadrep: q(f) - q^k too large for direct expansion and no structure node to factor through\n"
 
 
 def test_verify_grid_infeasible_on_large_document(tmp_path, capsys):
@@ -375,6 +376,44 @@ def test_verify_rejects_inexact_document_fields(tmp_path, capsys, mutate):
     code, report, err = run(capsys, "verify", path, "--mode", "exact")
     assert code == 2 and report is None
     assert err.startswith("quadrep:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("constant", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_non_json_constants_are_refused(tmp_path, capsys, command, constant):
+    doc = map_to_document(hopf_pair()[0])
+    doc["certificates"][0]["detail"]["difference_terms"] = float(constant)
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))  # spelled NaN, Infinity or -Infinity
+    argv = ["verify", str(path)] if command == "verify" else ["export", str(path), "-o", str(out)]
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None and not out.exists()
+    assert err == f"quadrep: cannot read map document {path}: non-JSON constant {json.dumps(float(constant))}\n"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(lambda d: d.update(certificates={}), "certificates must be a list", id="certificates-object"),
+        pytest.param(lambda d: [d], "map document must be a JSON object", id="top-level-array"),
+    ],
+)
+def test_document_shape_errors_exit_2(tmp_path, capsys, mutate, message):
+    doc = map_to_document(hopf_pair()[0])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(mutate(doc) or doc))
+    code, report, err = run(capsys, "verify", str(path))
+    assert code == 2 and report is None
+    assert err == f"quadrep: {message}\n"
+
+
+def test_non_integer_grid_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", str(tmp_path / "d.json"), "--check", "degree", "--grid", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "quadrep invariants: error: argument --grid: grid must be two integers >= 1, like 400x200"
 
 
 @pytest.mark.parametrize("mode", ["exact", "grid"])
@@ -514,12 +553,55 @@ def test_hemisphere_lineage_without_rebuilt_components_exits_2(tmp_path, capsys)
 
 def test_exact_lineage_without_rebuilt_components_exits_2(tmp_path, capsys, monkeypatch):
     path = _relabelled(tmp_path, capsys, "pi_n:1,5", "pi_np3:2 := x")
+    squaring_cost = maps._squaring_cost
 
-    def infeasible(*args, **kwargs):
-        raise maps.InfeasibleError("too large to expand")
+    def unaffordable_document(pmap):  # the builders keep their real costs
+        return math.inf if pmap.label == "pi_np3:2 := x" else squaring_cost(pmap)
 
-    monkeypatch.setattr(cli, "certify_order", infeasible)
+    monkeypatch.setattr(maps, "_squaring_cost", unaffordable_document)
     _unmaterialized_rebuild_exits_2(capsys, ["verify", path, "--mode", "exact"])
+
+
+def _lineage_document(tmp_path, capsys, **changes) -> str:
+    """The pi3_s2:7 document, too large to expand directly, with ``changes``
+    applied to its fields."""
+    path = tmp_path / "lineage.json"
+    run(capsys, "generate", "pi3_s2:7", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_unlabelled_large_document_reports_why_it_cannot_be_proved(tmp_path, capsys):
+    path = _lineage_document(tmp_path, capsys, label="")
+    code, report, err = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 2 and report is None
+    assert err == "quadrep: q(f) - q^k too large for direct expansion and no structure node to factor through\n"
+    code, report, err = run(capsys, "invariants", path, "--check", "hemisphere")
+    assert code == 2 and report is None
+    assert err == "quadrep: hemisphere check needs a map built by suspend (lineage missing)\n"
+
+
+def test_lineage_route_refutes_another_order_by_its_rule(tmp_path, capsys, monkeypatch):
+    # the refutation scan would catch the claim first; without it the
+    # composition rule does
+    path = _lineage_document(tmp_path, capsys, order=27)
+    monkeypatch.setattr(maps, "_refute", lambda *args: None)
+    code, report, err = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 3 and "Traceback" not in err
+    (check,) = report["checks"]
+    assert check["verdict"] == "fail" and check["method"] == "factored-expansion"
+    assert check["witness"] == "composition of orders 2 and 13 has order 26, not 27"
+    assert check["note"].startswith("components too large for direct expansion")
+
+
+def test_certify_order_proves_a_large_document_through_its_lineage(tmp_path, capsys):
+    pmap = read_document(_lineage_document(tmp_path, capsys))
+    assert pmap.node is None
+    cert = maps.certify_order(pmap, 26)
+    assert cert.verdict and cert.method == "factored-expansion"
+    assert cert.detail["outer_order"] == 2 and cert.detail["inner_order"] == 13
 
 
 @pytest.mark.parametrize(
@@ -787,13 +869,14 @@ def _unreached(*args):
 @pytest.mark.parametrize(
     "mode, message",
     [
-        ("exact", "document label carries no catalog lineage to rebuild from"),
+        # the whole line: no hint follows the price in exact mode
+        pytest.param("exact", "the 40000000000 exponent entries of q in 200000 variables exceed the expansion budget 5000000\n", id="exact-domain-price"),
         ("grid", "the 40000000000 exponent entries of q in 200000 variables exceed the expansion budget 5000000"),
     ],
 )
 def test_verify_prices_the_domain_before_any_proof_route(tmp_path, capsys, monkeypatch, mode, message):
     # q in 200,000 variables has 4 * 10**10 exponent entries: refused before
-    # the refutation scan forms a point; --mode exact then finds no lineage
+    # the refutation scan forms a point, in either mode
     path = _write_map(tmp_path / "wide.json", 200_000, [[]], order=0)
     monkeypatch.setattr(maps, "_refute", _unreached)
     start = time.perf_counter()

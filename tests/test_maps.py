@@ -27,6 +27,7 @@ from quadrep.maps import (
     compose_maps,
     constant_map,
     hopf_pair,
+    lineage_node,
     quadratic_form,
     suspend,
 )
@@ -364,6 +365,16 @@ def test_catalog_lineage_labels(target, label, shape):
     pm = catalog(target)
     assert pm.label == f"{target} := {label}"
     assert (pm.m, pm.r, pm.order) == shape
+
+
+def test_lineage_node_is_the_own_node_or_the_rebuilt_one():
+    built = catalog("pi_np1:3")
+    assert lineage_node(built) is built.node
+    document = PolyMap.explicit(built.components, built.label, order=built.order)
+    assert isinstance(lineage_node(document), SuspensionNode)
+    assert lineage_node(PolyMap.explicit(built.components, "", order=3)) is None
+    with pytest.raises(maps.MapError, match="do not match the map rebuilt from 'pi_np1:3'"):
+        lineage_node(PolyMap.explicit(corrupt(document).components, built.label))
 
 
 def test_catalog_torsion_chain_structural():
