@@ -177,20 +177,6 @@ class GaussianRational:
         sep = "+" if self.im > 0 else ""
         return f"{re}{sep}{im}*i"
 
-    @classmethod
-    def from_string(cls, text: str) -> "GaussianRational":
-        text = text.strip()
-        if text.endswith("*i"):
-            body = text[:-2]
-            # the real/imaginary separator is the first sign past position 0
-            for pos in range(1, len(body)):
-                if body[pos] in "+-":
-                    re_part = body[:pos]
-                    im_part = body[pos + 1 :] if body[pos] == "+" else body[pos:]
-                    return cls._raw(Fraction(re_part), Fraction(im_part))
-            raise ValueError(f"malformed Gaussian rational: {text!r}")
-        return cls._raw(Fraction(text), _FRACTION_ZERO)
-
 
 GR_I = GaussianRational._raw(_FRACTION_ZERO, _FRACTION_ONE)
 
@@ -681,8 +667,9 @@ class Polynomial:
 # per-variable power rows padded to the largest degree by powers of the
 # point's denominator, so its inner loop is Python int arithmetic and
 # Fractions appear only in the final values; ``integer_terms`` gives the
-# numerators by monomial, for the modular grid zero test in maps.py.  Both
-# backends are priced before anything is built.
+# numerators by monomial, for the modular grid zero test in maps.py, and
+# ``numerator_residues`` the values modulo a prime, for its refutation scan,
+# without decoding.  Both backends are priced before anything is built.
 
 # Product-count budget for a single full expansion, and the most room, in
 # coordinates, that the tables of one evaluation block may take (maps.check_room).
@@ -998,9 +985,8 @@ class Evaluator:
         return den, [[(monos[t], re, im) for t, re, im in row] for row in rows]
 
     def power_cost(self) -> int:
-        """Room the power tables of one ``numerators`` call take, in units
-        of one coordinate: the powers a**0 .. a**E of a take E*(E+1)/2."""
-        return sum(e * (e + 1) // 2 for e in self._decode()[3])
+        """Room the power tables of one ``numerators`` call take."""
+        return power_table_cost(self._decode()[3])
 
     def numerators(self, coords: Sequence[tuple[int, int]], denominator: int):
         """Exact values at the point (a_i + b_i*i) / denominator, in ints.
@@ -1041,11 +1027,58 @@ class Evaluator:
         """Exact values of every polynomial at a Gaussian-rational point."""
         if len(point) != self.nvars:
             raise ValueError("point length must match the variable count")
-        pairs = [_pair(GaussianRational.coerce(v)) for v in point]
-        common = math.lcm(*(d for _, _, d in pairs))
-        coords = [(re * (common // d), im * (common // d)) for re, im, d in pairs]
-        nums, scale = self.numerators(coords, common)
+        nums, scale = self.numerators(*_integer_point(point))
         return [GaussianRational._raw(Fraction(re, scale), Fraction(im, scale)) for re, im in nums]
+
+
+def _integer_point(point: Sequence) -> tuple[list[tuple[int, int]], int]:
+    """A Gaussian-rational point as ``numerators`` takes it: Gaussian-integer pairs and their denominator."""
+    pairs = [_pair(GaussianRational.coerce(v)) for v in point]
+    common = math.lcm(*(d for _, _, d in pairs))
+    return [(re * (common // d), im * (common // d)) for re, im, d in pairs], common
+
+
+def power_table_cost(maxima: Sequence[int]) -> int:
+    """Room, in coordinates, of one point's exact power tables up to these exponents: E*(E+1)/2 for a**0 .. a**E."""
+    return sum(e * (e + 1) // 2 for e in maxima)
+
+
+RESIDUE_MODULUS = 2**31 - 1  # prime; two products of residues sum below 2**63
+_RESIDUE_TABLE = 1 << 17  # most rows of one joint power table; past 1 << 10, no more than the terms
+
+
+def numerator_residues(polys: Sequence[Polynomial], points: Sequence) -> list[tuple[list[tuple[int, int]], int]]:
+    """``Evaluator(polys).numerators`` at each Gaussian-rational point, scaled
+    as ``eval_exact`` scales it, with the values reduced mod RESIDUE_MODULUS
+    and no evaluator built.  A monomial's value is a product of joint power
+    tables over runs of its key fields (the denominator's padding power
+    first), each gathered by the monomial's mixed-radix index in the run."""
+    p, nvars, npoints = RESIDUE_MODULUS, polys[0].nvars, len(points)
+
+    def mul(x, y):  # the product (re, im) of Gaussian residues x = (re, im) and y
+        return (x[0] * y[0] - x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+    dmax, den = max(max(q._degree for q in polys), 0), math.lcm(*(q._den for q in polys))
+    scaled = [_integer_point(point) for point in points]
+    base = (np.array([[(d, 0), *coords] for coords, d in scaled], dtype=object) % p).astype(np.int64).transpose(1, 2, 0)
+    one, sums = np.array([1, 0]).reshape(2, 1, 1) * np.ones(npoints, np.int64), []
+    for q in polys:
+        fields = _fields(q._num, _width(q._degree), nvars).astype(np.int64)
+        fields[:, 0] = dmax - fields[:, 0]  # a monomial of degree d is padded by the denominator**(dmax - d)
+        try:
+            nums = np.fromiter(chain.from_iterable(q._num.values()), np.int64, 2 * len(q)) % p
+        except OverflowError:  # numerators past int64, reduced as Python ints
+            nums = (np.fromiter(chain.from_iterable(q._num.values()), object, 2 * len(q)) % p).astype(np.int64)
+        value, table, index = nums.reshape(-1, 2).T[:, :, None] * (den // q._den % p) % p, one, 0
+        for column, (z, top) in enumerate(zip(base, fields.max(axis=0, initial=0).tolist())):
+            if table.shape[1] * (top + 1) > min(_RESIDUE_TABLE, max(len(q), 1 << 10)):  # the run is full: multiply it in
+                value, table, index = mul(value, table[:, index]), one, 0
+            blocks = [table]  # row j * (top + 1) + e of the joint table is row j of the last times z**e
+            for _ in range(top):
+                blocks.append(mul(blocks[-1], z[:, None]))
+            table, index = np.stack(blocks, axis=2).reshape(2, -1, npoints), index * (top + 1) + fields[:, column]
+        sums.append([part.sum(axis=0) % p for part in mul(value, table[:, index])])
+    return [([(int(re[i]), int(im[i])) for re, im in sums], den * d**dmax) for i, (_, d) in enumerate(scaled)]
 
 
 # ------------------------------------------------------------ multiplication

@@ -26,10 +26,9 @@ exactly, never numerically:
   for the witness.
 
 Builders only prove; ``certify_order`` first tries to disprove the claim
-from the explicit components: by their degree, then by an exact scan at
-four points when they are small enough to square, or of any size when the
-map has no structure node to factor.  Every degree bound reads explicit
-components; a map known only by its node is refuted by its construction.
+from the explicit components, by their degree and then by the residues of
+the difference at four points; a map known only by its node is refuted by
+its construction.
 
 Deep compositions in the torsion chain have components too large to expand
 or even to store (the one-level suspension of the order-22 pair would need
@@ -50,7 +49,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .coefficients import SuspensionTriple, suspension_triple, verify_triple
-from .exact import DEFAULT_EXPANSION_BUDGET, GR_I, Evaluator, GaussianRational, Polynomial, _require_int, int_text, sum_of_products
+from .exact import DEFAULT_EXPANSION_BUDGET, GR_I, RESIDUE_MODULUS, Evaluator, GaussianRational, Polynomial, _require_int, int_text
+from .exact import numerator_residues, power_table_cost, sum_of_products
 
 # Point budget for the grid zero test.  It and the expansion budget
 # (exact.DEFAULT_EXPANSION_BUDGET) are deliberate ceilings: beyond them the
@@ -303,9 +303,6 @@ def bilinear_pairing(f: PolyMap, g: PolyMap, budget: Optional[_Budget] = None) -
 # ---------------------------------------------------------- certification
 
 
-_REFUTATION_IMAG_HALF = GaussianRational(1, Fraction(1, 2))
-
-
 def _refutation_points(m: int) -> list[list[GaussianRational]]:
     """Deterministic exact points for fast disproof of a claimed identity.
 
@@ -318,7 +315,7 @@ def _refutation_points(m: int) -> list[list[GaussianRational]]:
     pts.append(p0)
     pts.append([GaussianRational(i + 1) for i in range(m)])
     p2 = [GaussianRational(1)] * m
-    p2[0] = _REFUTATION_IMAG_HALF
+    p2[0] = GaussianRational(1, Fraction(1, 2))
     pts.append(p2)
     pts.append([GaussianRational(Fraction(1, i + 2)) for i in range(m)])
     return pts
@@ -333,27 +330,25 @@ def _difference_at(pmap: PolyMap, k: int, point: Sequence[GaussianRational]) -> 
 
 def _refute(pmap: PolyMap, k: int, budget: int) -> Optional[Certificate]:
     """A fast exact disproof of q(f) = q^k from the explicit components, or
-    None: first the degree bound, then a scan of the difference at four
-    points.  A map without components is left to its construction rule."""
+    None: first the degree bound, then a scan of the difference's residues at
+    four points, where only the first nonzero one is evaluated exactly, for
+    its witness.  A map without components is left to its construction rule."""
     if pmap.components is None:
         return None
     bound = max([0, *(c.degree() for c in pmap.components)])
     if k > bound:
         witness = f"deg q(f) <= {2 * bound} < {int_text(2 * k)} = deg q^{int_text(k)}"
         return Certificate(k, "exact-evaluation", False, {"stage": "degree bound"}, witness)
-    # A map too large to square in full is proved through its structure
-    # node, if it has one, for far less than decoding and evaluating its
-    # components costs.  Skipped too when the exact power tables would
-    # outgrow the budget, priced from the decoded maxima before any table is
-    # built; they hold d(d+1)/2 for the degree d >= k, which bounds q(p)**k.
-    if pmap.node is not None and _squaring_cost(pmap) > budget:
+    # the price of that one exact point: its power tables hold d(d+1)/2 for the degree d >= k
+    if power_table_cost((*pmap.per_variable_bounds(), bound)) > budget:
         return None
     points = _refutation_points(pmap.m)
-    if len(points) * pmap.evaluator().power_cost() > budget:
-        return None
-    for point in points:
-        diff = _difference_at(pmap, k, point)
-        if not diff.is_zero():
+    for point, (values, scale) in zip(points, numerator_residues(pmap.components, points)):
+        # scale**2 * (q(f(p)) - q(p)^k), where q(p)^k * scale**2 is a Gaussian integer since k <= bound
+        power = sum(v * v for v in point) ** k * scale**2
+        real, imag = sum(re * re - im * im for re, im in values) - power.re, sum(2 * re * im for re, im in values) - power.im
+        if real % RESIDUE_MODULUS or imag % RESIDUE_MODULUS:
+            diff = _difference_at(pmap, k, point)
             coords = ", ".join(v.canonical_str() for v in point)
             witness = f"q(f(p)) - q(p)^{k} = {diff.canonical_str()} at p = ({coords})"
             return Certificate(k, "exact-evaluation", False, {"stage": "refutation scan"}, witness)
@@ -615,14 +610,13 @@ def certify_order(
 
     ``method`` is "auto", "expansion" or "grid".  In every mode a map with
     explicit components first meets ``_refute``: a claim above their degree
-    is refuted before q^k is formed, and then an exact scan at four points
-    runs, where one nonzero value is a sound disproof that catches corrupted
-    maps and wrong claimed orders long before any expensive proof work.  A
-    map with a structure node and components too large to square skips the
-    scan, and a map without components skips both: its construction rule
-    decides the claim.  Before all of this the domain is priced: q's m * m
-    exponent entries beyond ``expansion_budget`` raise InfeasibleError.
-    The map is not modified.
+    is refuted before q^k is formed, and then the difference is scanned at
+    four points modulo a prime, where one nonzero residue is a sound
+    disproof, spelled exactly at that point, that catches corrupted maps and
+    wrong claimed orders long before any expensive proof work.  A map
+    without components skips both: its construction rule decides the claim.
+    Before all of this the domain is priced: q's m * m exponent entries
+    beyond ``expansion_budget`` raise InfeasibleError.  The map is not modified.
     """
     _require_int(k, "the claimed order")
     if k < 0:
@@ -844,16 +838,9 @@ def _stem_pair(j: int, materialize_budget: int) -> tuple[PolyMap, PolyMap]:
     return pair
 
 
-def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -> PolyMap:
-    """Build the representative map for a target class.
-
-    Targets: ``pi_n:n,d`` (degree-d class of pi_n(S^n)), ``pi_np1:n``
-    (n >= 3), ``pi_np2:n`` (n >= 2), ``pi3_s2:d`` (d times the generator of
-    pi_3(S^2)), ``pi_np3:n`` (the 2-torsion class construction, n >= 2).
-    ``materialize_budget`` bounds the explicit components of every map the
-    target is built from.  Every returned map carries a passing order
-    certificate and a lineage label reproducing its construction.
-    """
+def _target(target: str) -> tuple[str, Optional[int], list[int], tuple[int, int]]:
+    """A catalog target's spelling and stem from its ``_FAMILIES`` row, its
+    arguments and the (m, r) of its map: (4, 3) for pi3_s2, else (n + stem + 1, n + 1)."""
     name, _, argstr = target.partition(":")
     try:
         args = [int(a) for a in argstr.split(",")] if argstr else []
@@ -869,9 +856,22 @@ def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -
         raise CatalogError("pi_np1:2 is served by pi3_s2 (pi_3(S^2) is infinite cyclic)")
     if least is not None and args[0] < least:
         raise CatalogError(f"{name} needs n >= {least}")
+    return spelling, stem, args, (4, 3) if stem is None else (args[0] + stem + 1, args[0] + 1)
 
+
+def catalog(target: str, materialize_budget: int = DEFAULT_MATERIALIZE_BUDGET) -> PolyMap:
+    """Build the representative map for a target class.
+
+    Targets: ``pi_n:n,d`` (degree-d class of pi_n(S^n)), ``pi_np1:n``
+    (n >= 3), ``pi_np2:n`` (n >= 2), ``pi3_s2:d`` (d times the generator of
+    pi_3(S^2)), ``pi_np3:n`` (the 2-torsion class construction, n >= 2).
+    ``materialize_budget`` bounds the explicit components of every map the
+    target is built from.  Every returned map carries a passing order
+    certificate and a lineage label reproducing its construction.
+    """
+    spelling, stem, args, shape = _target(target)
     if spelling.endswith("d") and args[-1] == 0:  # degree d = 0 is the unit class
-        out = constant_map(4, 3) if stem is None else constant_map(args[0] + 1, args[0] + 1)
+        out = constant_map(*shape)
     elif stem is None:
         f, _ = hopf_pair()
         out = compose_maps(f, catalog(f"pi_n:3,{args[0]}", materialize_budget), materialize_budget)
@@ -900,12 +900,13 @@ def lineage_node(pmap: PolyMap) -> Optional[SuspensionNode | CompositionNode]:
     if ":" not in target:
         return None
     try:
-        rebuilt = catalog(target)
+        # the (m, r) of the target is compared before anything is built
+        rebuilt = catalog(target) if _target(target)[3] == (pmap.m, pmap.r) else None
     except MapError as exc:
         raise CatalogError(f"cannot rebuild lineage {target!r}: {exc}") from exc
-    if rebuilt.components is None:
+    if rebuilt is not None and rebuilt.components is None:
         raise InfeasibleError(f"the rebuild of {target!r} is not materialized at the default budget")
-    if pmap.components != rebuilt.components:
+    if rebuilt is None or pmap.components != rebuilt.components:
         raise MapError(f"document components do not match the map rebuilt from {target!r}")
     return rebuilt.node
 

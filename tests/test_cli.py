@@ -13,7 +13,7 @@ from quadrep.cli import main
 from quadrep.exact import Polynomial
 from quadrep.maps import PolyMap, hopf_pair
 from quadrep.numeric import NumericError
-from quadrep.serialize import DocumentError, map_to_document, read_document
+from quadrep.serialize import DocumentError, map_to_document, read_document, write_document
 
 
 def run(capsys, *argv):
@@ -545,14 +545,23 @@ def _unmaterialized_rebuild_exits_2(capsys, argv):
     assert "do not match" not in err and "Traceback" not in err
 
 
+def _shaped_as_pi_np3_2(tmp_path) -> str:
+    """The order-2 map (q, 0, 0), C^6 -> C^3, labelled with the lineage
+    pi_np3:2, whose (m, r) it shares; pi_np3:2 is structural at the default
+    budget, so there is nothing to compare."""
+    path = str(tmp_path / "shaped.json")
+    zero = Polynomial.zero(6)
+    write_document(PolyMap.explicit([maps.quadratic_form(6), zero, zero], "pi_np3:2 := x", order=2), path)
+    return path
+
+
 def test_hemisphere_lineage_without_rebuilt_components_exits_2(tmp_path, capsys):
-    # pi_np3:2 is structural at the default budget: there is nothing to compare
-    path = _relabelled(tmp_path, capsys, "pi_n:1,5", "pi_np3:2 := x")
+    path = _shaped_as_pi_np3_2(tmp_path)
     _unmaterialized_rebuild_exits_2(capsys, ["invariants", path, "--check", "hemisphere"])
 
 
 def test_exact_lineage_without_rebuilt_components_exits_2(tmp_path, capsys, monkeypatch):
-    path = _relabelled(tmp_path, capsys, "pi_n:1,5", "pi_np3:2 := x")
+    path = _shaped_as_pi_np3_2(tmp_path)
     squaring_cost = maps._squaring_cost
 
     def unaffordable_document(pmap):  # the builders keep their real costs
@@ -560,6 +569,20 @@ def test_exact_lineage_without_rebuilt_components_exits_2(tmp_path, capsys, monk
 
     monkeypatch.setattr(maps, "_squaring_cost", unaffordable_document)
     _unmaterialized_rebuild_exits_2(capsys, ["verify", path, "--mode", "exact"])
+
+
+def test_lineage_of_another_shape_is_refused_before_it_is_built(tmp_path, capsys):
+    # pi_n:2,2000 maps C^3 -> C^3 and would take minutes to build; the
+    # document maps C^2 -> C^2, which its family row says without building
+    path = _relabelled(tmp_path, capsys, "pi_n:1,5", "pi_n:2,2000 := x")
+    t0 = time.perf_counter()
+    code, report, err = run(capsys, "invariants", path, "--check", "hemisphere")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and report is None
+    assert err == "quadrep: document components do not match the map rebuilt from 'pi_n:2,2000'\n"
+    # small enough to expand, the document is proved without its lineage
+    code, report, _ = run(capsys, "verify", path, "--mode", "exact")
+    assert code == 0 and report["checks"][0]["method"] == "full-expansion"
 
 
 def _lineage_document(tmp_path, capsys, **changes) -> str:

@@ -316,6 +316,7 @@ def test_negated_scale_fails_its_certificate(pair):
 def test_catalog_dimensions_and_orders(target, m, r, order):
     pm = catalog(target)
     assert (pm.m, pm.r, pm.order) == (m, r, order)
+    assert maps._target(target)[3] == (m, r)  # read from the family row, without building
     assert pm.certificate is not None and pm.certificate.verdict
     assert pm.label.startswith(target)
 
@@ -673,7 +674,7 @@ def test_catalog_is_deterministic():
 
 def test_catalog_pi3_s2_zero_is_constant():
     pm = catalog("pi3_s2:0")
-    assert (pm.m, pm.r, pm.order) == (4, 3, 0)
+    assert (pm.m, pm.r, pm.order) == (4, 3, 0) and maps._target("pi3_s2:0")[3] == (4, 3)
     assert pm.components[0] == Polynomial.constant(4, 1)
 
 

@@ -20,6 +20,7 @@ from quadrep.maps import (
     catalog,
     certify_order,
 )
+from quadrep.serialize import read_document, write_document
 
 # ------------------------------------------------------- reference formulas
 
@@ -107,12 +108,21 @@ def test_node_only_map_is_refuted_by_its_construction():
         f2.eval_exact(_refutation_points(f2.m)[0])
 
 
-def test_large_node_map_is_refuted_by_its_construction_without_compiling():
-    # pi_np2:3 has 64k terms, too many to square within the budget: its
-    # construction settles the claim, and its components are never compiled
+def test_in_process_map_takes_the_same_scan_as_its_document(tmp_path):
+    # pi_np2:3 has 64k terms, too many to square within the budget; its node
+    # does not spare it the scan, so the map built here and its document get
+    # one certificate for a wrong claim
     sus = catalog("pi_np2:3")
-    assert certify_order(sus, 10).witness == "suspension of order-6 maps has order 11, not 10"
-    assert sus._evaluator is None
+    path = str(tmp_path / "sus.json")
+    write_document(sus, path)
+    cert = certify_order(sus, 10)
+    assert cert.method == "exact-evaluation" and cert.detail == {"stage": "refutation scan"}
+    assert certify_order(read_document(path), 10) == cert
+    # the right claim passes the scan on residues alone, and its node proves it
+    built = catalog("pi_np2:3")
+    cert = certify_order(built, 11)
+    assert cert.verdict and cert.method == "factored-expansion"
+    assert built._evaluator is None
 
 
 def test_small_node_map_is_still_scanned():
